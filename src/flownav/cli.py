@@ -10,11 +10,10 @@ import os
 import sys
 from dataclasses import fields
 
-from . import egomotion, features, flow, imgproc, obstacle, pipeline, \
-    potential, scene, svgplot, trace, vehicle
+from . import egomotion, features, flow, imgproc, pipeline, potential, \
+    scene, svgplot, trace, vehicle
 from .errors import (AlignmentError, FlownavError, InsufficientFlowError,
-                     DegenerateGeometryError, InvalidParameterError,
-                     NoDirectionError)
+                     DegenerateGeometryError, InvalidParameterError)
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -102,7 +101,7 @@ def build_config(args):
     if getattr(args, "ttc_raw", False):
         config.raw_ttc = True
     if getattr(args, "pure_sign", False):
-        config.pure_sign = True
+        config.vehicle_params.pure_sign = True
     config.validate()
     return config
 
@@ -200,9 +199,8 @@ def cmd_replay(args):
 
     cam = scene.CameraModel()
     params = config.vehicle_params
-    road_params = config.road_field
     vision = pipeline.VisionState(config, cam)
-    dt = controls[1][0] - controls[0][0] if len(controls) > 1 else config.dt
+    dt = controls[1][0] - controls[0][0]
     if dt <= 0:
         raise AlignmentError("control timestamps must increase")
 
@@ -217,8 +215,7 @@ def cmd_replay(args):
         img = imgproc.read_pgm(os.path.join(args.frames, fname))
         dpsi = 0.0
         if i > 0:
-            beta = vehicle.slip_angle(prev_delta, params)
-            dpsi = v * math.cos(beta) * math.tan(prev_delta) / params.wheelbase * dt
+            dpsi = vehicle.yaw_rate(v, prev_delta, params) * dt
         vision.update(img, pair_dt=dt, dpsi=dpsi)
         if i == 0:
             continue
@@ -226,22 +223,13 @@ def cmd_replay(args):
         psi = vehicle.wrap_angle(psi + dpsi)
         v = max(0.0, v + a_rec * dt)
 
-        curvature = potential.classify_curvature(vision.foe, cam.width,
-                                                 config.center_band)
-        f_road = potential.road_force((config.lookahead,
-                                       road_params.valley_offset),
-                                      curvature, road_params)
+        # a recording has no lane geometry: the road field is probed at the
+        # lane center
         f_att = potential.ForceVector(math.cos(psi), math.sin(psi), "global")
-        f_tot = potential.total_force(f_att, vision.obstacle_force, f_road,
-                                      lambda_x=config.lambda_x,
-                                      lambda_y=config.lambda_y,
-                                      psi=psi, k_img=config.k_img)
-        try:
-            psi_d = vehicle.desired_heading(f_tot)
-        except NoDirectionError:
-            psi_d = psi
-        beta = vehicle.slip_angle(delta_rec, params)
-        psi_dot = v * math.cos(beta) * math.tan(delta_rec) / params.wheelbase
+        _f_road, _f_tot, psi_d = pipeline.steer_to_field(
+            config, cam, vision.foe, f_att, vision.obstacle_force, 0.0, psi,
+            psi)
+        psi_dot = vehicle.yaw_rate(v, delta_rec, params)
         s_r = vehicle.rotational_manifold(psi, psi_d, psi_dot, 0.0, params.c_r)
         u_pred = vehicle.steer_command(s_r, params)
         a_pred = vehicle.longitudinal_command(v, params.v_d, params)
@@ -285,7 +273,8 @@ def make_parser():
         p.add_argument("--ttc-raw", action="store_true", dest="ttc_raw",
                        help="sum raw TTC instead of inverse TTC")
         p.add_argument("--pure-sign", action="store_true", dest="pure_sign",
-                       help="discontinuous switching law (no boundary layer)")
+                       help="discontinuous switching law (no boundary layer); "
+                            "same as vehicle.pure_sign = true")
 
     p = sub.add_parser("flow", help="track one frame pair")
     p.add_argument("prev")

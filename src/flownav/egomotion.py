@@ -99,7 +99,3 @@ class FoeSmoother:
             self._state = (f * self._state[0] + (1 - f) * foe.x_foe,
                            f * self._state[1] + (1 - f) * foe.y_foe)
         return FoeEstimate(self._state[0], self._state[1], foe.condition, foe.n_constraints)
-
-    @property
-    def value(self):
-        return self._state

@@ -12,9 +12,6 @@ from scipy import ndimage
 
 from .errors import DegenerateDistributionError, InvalidParameterError, PgmParseError
 
-# Rec.601 luma weights for any RGB input that reaches us.
-LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-
 
 @dataclass
 class GrayImage:
@@ -30,24 +27,6 @@ class GrayImage:
     def height(self):
         return self.data.shape[0]
 
-    @classmethod
-    def from_array(cls, arr):
-        """Build a validated image from any array-like of unit-range floats."""
-        data = np.asarray(arr, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise InvalidParameterError(f"expected a 2-D raster, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidParameterError("image contains non-finite intensities")
-        if data.min() < -1e-9 or data.max() > 1.0 + 1e-9:
-            raise InvalidParameterError("intensities must lie in [0, 1]")
-        return cls(np.clip(data, 0.0, 1.0))
-
-    def validate(self):
-        if self.data.ndim != 2:
-            raise InvalidParameterError("image data must be 2-D")
-        if self.data.min() < 0.0 or self.data.max() > 1.0:
-            raise InvalidParameterError("intensities must lie in [0, 1]")
-
 
 @dataclass
 class BinaryImage:
@@ -62,14 +41,6 @@ class BinaryImage:
     @property
     def height(self):
         return self.mask.shape[0]
-
-
-def rgb_to_gray(arr):
-    """Collapse an (H, W, 3) float array to grayscale with Rec.601 luma."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise InvalidParameterError("expected an (H, W, 3) array")
-    return arr @ np.array(LUMA_WEIGHTS)
 
 
 def gaussian_kernel(sigma, radius):

@@ -1,9 +1,11 @@
 """Obstacle segmentation from flow residuals and the repulsive obstacle force.
 
-The dominant ego-motion is modelled as a single-parameter radial expansion
-about the FOE; features whose flow deviates from it (Otsu split over the
-residual magnitudes) are treated as obstacle-induced and rasterized into a
-binary obstacle plane.
+The dominant ego-motion is modelled as a flat ground plane seen by a camera
+moving forward: flow is radial about the FOE and its expansion rate grows
+with the row offset below the horizon (one parameter, fitted by consensus).
+Features whose radial flow overshoots that prediction sit closer than the
+ground at their row; an Otsu split over the overshoots flags them as
+obstacle-induced, and they are rasterized into a binary obstacle plane.
 """
 
 from dataclasses import dataclass
@@ -34,38 +36,6 @@ class RepulsiveForce:
     f_x: float
     f_y: float
 
-    @property
-    def magnitude(self):
-        return float(np.hypot(self.f_x, self.f_y))
-
-
-def radial_fit(pts, vs, foe):
-    """Least-squares expansion rate k for v ~ k * (p - FOE)."""
-    dx = pts[:, 0] - foe.x_foe
-    dy = pts[:, 1] - foe.y_foe
-    denom = np.sum(dx * dx + dy * dy)
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(vs[:, 0] * dx + vs[:, 1] * dy) / denom)
-
-
-def planar_fit(pts, vs, foe):
-    """Ground-plane expansion model: v ~ c * (row - FOE row) * (p - FOE).
-
-    On a flat ground plane inverse depth grows linearly with the image row
-    below the horizon, so the expansion rate is row-dependent; raised
-    obstacles violate this and stand out in the residuals. Returns the
-    per-point model prediction."""
-    dx = pts[:, 0] - foe.x_foe
-    dy = pts[:, 1] - foe.y_foe
-    w = np.maximum(pts[:, 1] - foe.y_foe, 1.0)
-    bx = w * dx
-    by = w * dy
-    denom = np.sum(bx * bx + by * by)
-    c = 0.0 if denom == 0.0 else float(np.sum(vs[:, 0] * bx + vs[:, 1] * by)
-                                       / denom)
-    return np.column_stack([c * bx, c * by])
-
 
 def ground_fit(pts, vs, foe):
     """Finite-displacement ground-plane expansion model.
@@ -74,11 +44,11 @@ def ground_fit(pts, vs, foe):
     about the FOE with magnitude dist * q*w / (1 - q*w), where dist is the
     pixel's FOE distance, w its row offset below the FOE (proportional to
     inverse depth) and q encodes the per-frame advance. q is estimated per
-    point from the radial flow component and aggregated with a median,
-    which shrugs off gross tracking failures. Returns (pred Nx2, excess N):
-    excess is the positive radial overshoot (px) relative to the ground
-    prediction — raised obstacles sit closer than the ground at their
-    image row, so they overshoot; failed tracks undershoot and score 0.
+    point from the radial flow component and aggregated by consensus (see
+    below), which shrugs off gross tracking failures. Returns the per-point
+    excess: the positive radial overshoot (px) relative to the ground
+    prediction — raised obstacles sit closer than the ground at their image
+    row, so they overshoot; failed tracks undershoot and score 0.
     """
     dx = pts[:, 0] - foe.x_foe
     dy = pts[:, 1] - foe.y_foe
@@ -100,13 +70,11 @@ def ground_fit(pts, vs, foe):
         # no candidate explains a majority: the frame's flow is globally
         # unreliable, and residuals against a garbage fit would flag
         # arbitrary points — report a clean ground frame instead
-        return np.zeros_like(vs), np.zeros(len(q))
+        return np.zeros(len(q))
     q_fit = float(np.median(q[votes == votes.max()]))
     denom = np.maximum(1.0 - q_fit * w, 0.05)
     pred_mag = dist * q_fit * w / denom
-    pred = np.column_stack([dx, dy]) * (pred_mag / dist)[:, None]
-    excess = np.maximum(proj - pred_mag, 0.0)
-    return pred, excess
+    return np.maximum(proj - pred_mag, 0.0)
 
 
 def _splat(width, height, points, radius):
@@ -125,31 +93,23 @@ def _splat(width, height, points, radius):
 
 
 def segment_obstacles(flow_field, foe, ttc_map, splat_radius, width, height,
-                      min_residual=0.0, ttc_default=100.0, model="radial"):
-    """Split obstacle-induced flow from the dominant expansion field.
+                      min_residual=0.0, ttc_default=100.0):
+    """Split obstacle-induced flow from the ground-plane expansion field.
 
-    model selects the background fit: "radial" (constant expansion rate),
-    "planar" (row-weighted rate, least squares) or "ground" (row-weighted
-    rate with a robust median fit; residual is the positive radial
-    overshoot only). min_residual gates the Otsu threshold: if the split
-    sits below it, the residual spread is treated as tracking noise and
-    the mask stays empty.
+    The residual of each valid vector is its radial overshoot over the
+    ground_fit prediction; undershooting (stalled) tracks score 0. Points
+    above the Otsu split of the residuals are flagged, tagged with their
+    TTC (ttc_default when ttc_map has none) and splatted with splat_radius
+    into a width x height plane. min_residual gates the Otsu threshold: if
+    the split sits below it, the residual spread is treated as tracking
+    noise and the mask stays empty.
     """
     pts, vs = flow_field.valid_arrays()
     empty = ObstacleMask(BinaryImage(np.zeros((height, width), dtype=bool)), [])
     if len(pts) == 0:
         return empty
 
-    if model == "ground":
-        _pred, residual = ground_fit(pts, vs, foe)
-    else:
-        if model == "planar":
-            pred = planar_fit(pts, vs, foe)
-        else:
-            k = radial_fit(pts, vs, foe)
-            pred = np.column_stack([pts[:, 0] - foe.x_foe,
-                                    pts[:, 1] - foe.y_foe]) * k
-        residual = np.hypot(vs[:, 0] - pred[:, 0], vs[:, 1] - pred[:, 1])
+    residual = ground_fit(pts, vs, foe)
     if residual.max() < RESIDUAL_FLOOR:
         return empty
 

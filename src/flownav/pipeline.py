@@ -1,14 +1,13 @@
 """Closed-loop pipeline: render -> flow -> FOE/TTC -> obstacle force ->
 potential field -> sliding-mode commands -> bicycle step.
 
-Owns the aggregated configuration for every stage and the simulation loops
-used by the CLI (vision-guided run and the waypoint-PID baseline).
+Owns the aggregated configuration for every stage, the field-to-steer step
+shared by the vision-guided run and replay, and the drive loop shared by the
+vision-guided run and the waypoint-PID baseline.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from . import egomotion, features, flow, obstacle, potential, scene, vehicle
 from .errors import (DegenerateGeometryError, InsufficientFlowError,
@@ -46,7 +45,6 @@ class PipelineConfig:
     # obstacle segmentation / repulsion
     splat_radius: float = 12.0
     min_residual: float = 2.5
-    seg_model: str = "ground"
     cluster_radius: float = 60.0  # flagged points need a neighbour this close
     min_cluster: int = 2
     fb_tol: float = 1.5         # forward-backward track tolerance, px
@@ -84,7 +82,6 @@ class PipelineConfig:
     swerve_max: float = 0.6     # rad; heading clamp while an avoidance is on
     swerve_keep: float = 0.2    # rad; heading clamp during plain lane keeping
     swerve_damp: float = 1.0    # heading feedback on the lateral closure rate
-    pure_sign: bool = False
     vehicle_params: vehicle.VehicleParams = field(
         default_factory=vehicle.VehicleParams)
     road_field: potential.RoadFieldParams = field(
@@ -218,11 +215,10 @@ class VisionState:
         except (InsufficientFlowError, DegenerateGeometryError):
             return raw
 
-    def _cluster_filter(self, mask):
+    def _cluster_filter(self, pts):
         """Drop flagged points without min_cluster-1 neighbours nearby;
         tracker glitches are isolated, real obstacles flag several corners."""
         c = self.config
-        pts = mask.points
         if len(pts) < c.min_cluster:
             return []
         r2 = c.cluster_radius ** 2
@@ -276,16 +272,12 @@ class VisionState:
         mask = obstacle.segment_obstacles(
             ff, foe, ttc, splat_radius=c.splat_radius,
             width=self.cam.width, height=self.cam.height,
-            min_residual=c.min_residual, model=c.seg_model)
-        if not mask.empty:
-            kept = self._fb_verify(mask.points, ff_raw, img, pyr)
-            mask = obstacle.ObstacleMask(mask.plane, kept)
-            kept = self._cluster_filter(mask)
-            mask = (obstacle.ObstacleMask(
-                BinaryImage(obstacle._splat(self.cam.width, self.cam.height,
-                                            kept, c.splat_radius)), kept)
-                    if kept else obstacle.ObstacleMask(mask.plane, []))
-        if mask.empty:
+            min_residual=c.min_residual)
+        points = mask.points
+        if points:
+            points = self._cluster_filter(
+                self._fb_verify(points, ff_raw, img, pyr))
+        if not points:
             self.inst_sign = 0
             self.obs_fx *= c.obs_decay
             self.obs_fy *= c.obs_decay
@@ -294,7 +286,7 @@ class VisionState:
         w_c = self.cam.width // d
         h_c = self.cam.height // d
         pts_c = [(FeaturePoint(fp.x / d, fp.y / d), res, t)
-                 for fp, res, t in mask.points]
+                 for fp, res, t in points]
         plane_c = obstacle._splat(w_c, h_c, pts_c, c.splat_radius / d)
         mask_c = obstacle.ObstacleMask(BinaryImage(plane_c), pts_c)
         grad_c = obstacle.obstacle_gradient(mask_c)
@@ -371,6 +363,52 @@ class VisionState:
         return obstacle.RepulsiveForce(self.obs_fx, self.obs_fy)
 
 
+def steer_to_field(config, cam, foe, f_att, f_obs, d_lat, psi, fallback):
+    """Field-to-steer step: road curvature from the FOE, the road field probed
+    at lateral offset d_lat, the total force and its heading (fallback when
+    the force vanishes). Returns (f_road, f_tot, psi_d)."""
+    road_params = config.road_field
+    curvature = potential.classify_curvature(foe, cam.width, config.center_band)
+    # road-plane probe: +y is rightward, valley at the road's center line
+    pos_field = (config.lookahead, road_params.valley_offset - d_lat)
+    f_road = potential.road_force(pos_field, curvature, road_params)
+    f_tot = potential.total_force(f_att, f_obs, f_road,
+                                  lambda_x=config.lambda_x,
+                                  lambda_y=config.lambda_y,
+                                  psi=psi, k_img=config.k_img)
+    try:
+        psi_d = vehicle.desired_heading(f_tot)
+    except NoDirectionError:
+        psi_d = fallback
+    return f_road, f_tot, psi_d
+
+
+def _drive(config, world, control):
+    """Closed loop from world.start_state: ground truth, then
+    control(k, state, gt) -> TraceRow, then the goal and corridor exits,
+    then a bicycle step on the row's u and a. Returns (rows, summary,
+    world)."""
+    params = config.vehicle_params
+    state = world.start_state
+    rows = []
+    goal_reached = False
+    diverged = False
+    for k in range(config.max_steps):
+        gt = scene.ground_truth(world, state)
+        row = control(k, state, gt)
+        rows.append(row)
+        if gt["distance_to_goal"] <= config.goal_radius:
+            goal_reached = True
+            break
+        if (abs(gt["lateral_offset"])
+                > world.road.width / 2.0 + config.corridor_margin):
+            diverged = True
+            break
+        state = vehicle.step(state, vehicle.ControlCommand(row.u, row.a),
+                             params, config.dt)
+    return rows, summarize(rows, goal_reached, diverged), world
+
+
 def run_simulation(config, world=None, cam=None):
     """Vision-in-the-loop run. Returns (trace rows, summary dict, world)."""
     config.validate()
@@ -378,20 +416,15 @@ def run_simulation(config, world=None, cam=None):
         world = scene.make_course(config.course, seed=config.seed)
     if cam is None:
         cam = scene.CameraModel()
-    params = replace(config.vehicle_params, pure_sign=config.pure_sign)
-    road_params = config.road_field
+    params = config.vehicle_params
     vision = VisionState(config, cam)
-
-    state = world.start_state
     dt = config.dt
     stride = config.vision_stride
-    psi_d_prev = state.psi
-    vis_psi = state.psi
-    rows = []
-    goal_reached = False
-    diverged = False
+    psi_d_prev = world.start_state.psi
+    vis_psi = world.start_state.psi
 
-    for k in range(config.max_steps):
+    def control(k, state, gt):
+        nonlocal psi_d_prev, vis_psi
         if k % stride == 0:
             img = scene.degrade(scene.render(world, cam, state), config.weather,
                                 seed=config.seed)
@@ -399,8 +432,6 @@ def run_simulation(config, world=None, cam=None):
                           dpsi=vehicle.wrap_angle(state.psi - vis_psi))
             vis_psi = state.psi
         foe = vision.foe
-
-        gt = scene.ground_truth(world, state)
         d_lat = gt["lateral_offset"]
         dist = gt["distance_to_goal"]
         # Repulsion is muted near the goal, where the road's end fakes a
@@ -409,21 +440,10 @@ def run_simulation(config, world=None, cam=None):
         if dist <= config.obs_goal_gate:
             fx_eff = 0.0
         f_obs = obstacle.RepulsiveForce(fx_eff, vision.obs_fy)
-        curvature = potential.classify_curvature(foe, cam.width,
-                                                 config.center_band)
-        # road-plane probe: +y is rightward, valley at the road's center line
-        pos_field = (config.lookahead, road_params.valley_offset - d_lat)
-        f_road = potential.road_force(pos_field, curvature, road_params)
         f_att = potential.attractive_force((state.x, state.y), world.goal,
                                            config.alpha)
-        f_tot = potential.total_force(f_att, f_obs, f_road,
-                                      lambda_x=config.lambda_x,
-                                      lambda_y=config.lambda_y,
-                                      psi=state.psi, k_img=config.k_img)
-        try:
-            psi_d = vehicle.desired_heading(f_tot)
-        except NoDirectionError:
-            psi_d = psi_d_prev
+        f_road, f_tot, psi_d = steer_to_field(config, cam, foe, f_att, f_obs,
+                                              d_lat, state.psi, psi_d_prev)
         # The road walls steepen exponentially, so the raw field heading can
         # swing near-perpendicular to the road; clamping the command about
         # the road tangent keeps the lateral closure rate within what the
@@ -453,9 +473,7 @@ def run_simulation(config, world=None, cam=None):
                         min(config.psi_d_dot_max, psi_d_dot))
         psi_d_prev = psi_d
 
-        beta = vehicle.slip_angle(state.delta_f, params)
-        psi_dot = (state.v * math.cos(beta) * math.tan(state.delta_f)
-                   / params.wheelbase)
+        psi_dot = vehicle.yaw_rate(state.v, state.delta_f, params)
         s_r = vehicle.rotational_manifold(state.psi, psi_d, psi_dot, psi_d_dot,
                                           params.c_r)
         u = vehicle.steer_command(s_r, params)
@@ -467,7 +485,7 @@ def run_simulation(config, world=None, cam=None):
         s_l = params.c_l * state.v - v_d_eff
         a = vehicle.longitudinal_command(state.v, v_d_eff, params)
 
-        rows.append(TraceRow(
+        return TraceRow(
             t=k * dt, x=state.x, y=state.y, psi=state.psi, v=state.v,
             delta_f=state.delta_f, foe_x=foe.x_foe, foe_y=foe.y_foe,
             f_att_x=f_att.fx, f_att_y=f_att.fy,
@@ -475,17 +493,9 @@ def run_simulation(config, world=None, cam=None):
             f_road_x=f_road.fx, f_road_y=f_road.fy,
             f_tot_x=f_tot.fx, f_tot_y=f_tot.fy,
             s_r=s_r, s_l=s_l, u=u, a=a,
-            lat_offset=d_lat, clearance=gt["clearance"]))
+            lat_offset=d_lat, clearance=gt["clearance"])
 
-        if dist <= config.goal_radius:
-            goal_reached = True
-            break
-        if abs(d_lat) > world.road.width / 2.0 + config.corridor_margin:
-            diverged = True
-            break
-        state = vehicle.step(state, vehicle.ControlCommand(u, a), params, dt)
-
-    return rows, summarize(rows, goal_reached, diverged), world
+    return _drive(config, world, control)
 
 
 def run_baseline(config, world=None):
@@ -494,19 +504,12 @@ def run_baseline(config, world=None):
     config.validate()
     if world is None:
         world = scene.make_course(config.course, seed=config.seed)
-    params = replace(config.vehicle_params, pure_sign=config.pure_sign)
-    state = world.start_state
+    params = config.vehicle_params
     dt = config.dt
     lookahead = 8.0
-    rows = []
-    goal_reached = False
-    diverged = False
 
-    for k in range(config.max_steps):
-        gt = scene.ground_truth(world, state)
-        d_lat = gt["lateral_offset"]
-        s_here = gt["arclength"]
-        tx, ty, _ = world.road.pose_at(s_here + lookahead)
+    def control(k, state, gt):
+        tx, ty, _ = world.road.pose_at(gt["arclength"] + lookahead)
         # bearing to the lookahead point in the body frame
         ang = vehicle.wrap_angle(math.atan2(ty - state.y, tx - state.x)
                                  - state.psi)
@@ -514,25 +517,16 @@ def run_baseline(config, world=None):
         delta_des = max(-params.delta_0, min(params.delta_0, delta_des))
         u = max(-params.u_0, min(params.u_0, (delta_des - state.delta_f) / dt))
 
-        dist = gt["distance_to_goal"]
-        v_d_eff = params.v_d * min(1.0, dist / config.taper_dist)
+        v_d_eff = params.v_d * min(1.0, gt["distance_to_goal"] / config.taper_dist)
         s_l = params.c_l * state.v - v_d_eff
         a = vehicle.longitudinal_command(state.v, v_d_eff, params)
 
-        rows.append(TraceRow(
+        return TraceRow(
             t=k * dt, x=state.x, y=state.y, psi=state.psi, v=state.v,
             delta_f=state.delta_f, foe_x=0.0, foe_y=0.0,
             f_att_x=0.0, f_att_y=0.0, f_obs_x=0.0, f_obs_y=0.0,
             f_road_x=0.0, f_road_y=0.0, f_tot_x=0.0, f_tot_y=0.0,
             s_r=0.0, s_l=s_l, u=u, a=a,
-            lat_offset=d_lat, clearance=gt["clearance"]))
+            lat_offset=gt["lateral_offset"], clearance=gt["clearance"])
 
-        if dist <= config.goal_radius:
-            goal_reached = True
-            break
-        if abs(d_lat) > world.road.width / 2.0 + config.corridor_margin:
-            diverged = True
-            break
-        state = vehicle.step(state, vehicle.ControlCommand(u, a), params, dt)
-
-    return rows, summarize(rows, goal_reached, diverged), world
+    return _drive(config, world, control)

@@ -1,7 +1,7 @@
 """Kinematic bicycle model and the gradient-tracking sliding-mode controller."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NoDirectionError
 
@@ -48,6 +48,12 @@ def slip_angle(delta_f, params):
     return math.atan(params.l_r * math.tan(delta_f) / params.wheelbase)
 
 
+def yaw_rate(v, delta_f, params):
+    """Bicycle yaw rate v*cos(beta)*tan(delta_f)/wheelbase, rad/s."""
+    beta = slip_angle(delta_f, params)
+    return v * math.cos(beta) * math.tan(delta_f) / params.wheelbase
+
+
 def step(state, cmd, params, dt):
     """Explicit Euler step of the bicycle kinematics.
 
@@ -60,8 +66,7 @@ def step(state, cmd, params, dt):
     beta = slip_angle(delta, params)
     x = state.x + state.v * math.cos(state.psi + beta) * dt
     y = state.y + state.v * math.sin(state.psi + beta) * dt
-    psi = wrap_angle(state.psi
-                     + state.v * math.cos(beta) * math.tan(delta) / params.wheelbase * dt)
+    psi = wrap_angle(state.psi + yaw_rate(state.v, delta, params) * dt)
     v = max(0.0, state.v + cmd.a * dt)
     return VehicleState(x, y, psi, v, delta)
 

@@ -215,6 +215,7 @@ def test_4_road_field_gradient():
 # 5. closed-loop lane keeping
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_5_lane_keeping(clear_run):
     rows, summary, world, wall = clear_run
     assert world.road.total_length >= 200.0
@@ -228,6 +229,7 @@ def test_5_lane_keeping(clear_run):
 # 6. obstacle avoidance
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_6_obstacle_avoidance(obstacle_run):
     rows, summary, world = obstacle_run
     assert summary["goal_reached"]
@@ -248,6 +250,7 @@ def test_6_obstacle_avoidance(obstacle_run):
 # 7. rain degradation ordering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_7_rain_ordering(clear_run, rain_run):
     _, clear_summary, _, _ = clear_run
     _, rain_summary, _ = rain_run
@@ -319,6 +322,7 @@ def test_9_euler_order():
 # 10. determinism
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_10_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("course = straight\nmax_steps = 600\n")

@@ -8,11 +8,27 @@ from flownav.flow import FlowField, FlowVector
 from flownav.imgproc import BinaryImage
 
 
-FOE = FoeEstimate(160.0, 120.0, 1.0, 20)
+FOE = FoeEstimate(160.0, 100.0, 1.0, 20)
 
 
-def make_field(n_background, outliers, k=0.04, seed=0):
-    """Radial background flow about FOE plus planted outlier vectors.
+def ground_flow(x, y, q):
+    """Flat-ground flow at (x, y) below the horizon: radial about FOE with
+    magnitude dist * q*w / (1 - q*w), w the row offset below the FOE."""
+    dx, dy = x - FOE.x_foe, y - FOE.y_foe
+    qw = q * (y - FOE.y_foe)
+    return dx * qw / (1.0 - qw), dy * qw / (1.0 - qw)
+
+
+def overshoot(x, y, gain=3.0, q=5e-4):
+    """Outlier below the horizon: ground flow scaled radially by gain, as
+    from a raised surface closer than the ground at that row."""
+    vx, vy = ground_flow(x, y, q)
+    return x, y, gain * vx, gain * vy
+
+
+def make_field(n_background, outliers, q=5e-4, seed=0):
+    """Ground-plane background flow below the horizon plus planted outlier
+    vectors.
 
     outliers: list of (x, y, vx, vy).
     """
@@ -20,46 +36,19 @@ def make_field(n_background, outliers, k=0.04, seed=0):
     vectors = []
     while len(vectors) < n_background:
         x = rng.uniform(10, 310)
-        y = rng.uniform(10, 230)
-        dx, dy = x - FOE.x_foe, y - FOE.y_foe
-        if np.hypot(dx, dy) < 5:
+        y = rng.uniform(110, 230)
+        if np.hypot(x - FOE.x_foe, y - FOE.y_foe) < 5:
             continue
-        vectors.append(FlowVector(FeaturePoint(x, y), k * dx, k * dy, True))
+        vectors.append(FlowVector(FeaturePoint(x, y), *ground_flow(x, y, q),
+                                  True))
     for x, y, vx, vy in outliers:
         vectors.append(FlowVector(FeaturePoint(x, y), vx, vy, True))
     return FlowField(vectors)
 
 
-class TestRadialFit:
-    def test_recovers_exact_rate(self):
-        ff = make_field(50, [], k=0.07)
-        pts, vs = ff.valid_arrays()
-        assert obstacle.radial_fit(pts, vs, FOE) == pytest.approx(0.07)
-
-    def test_zero_denominator(self):
-        pts = np.array([[160.0, 120.0]])
-        vs = np.array([[1.0, 1.0]])
-        assert obstacle.radial_fit(pts, vs, FOE) == 0.0
-
-    def test_least_squares_property(self):
-        # perturbing k away from the fit must not reduce the residual
-        rng = np.random.default_rng(1)
-        ff = make_field(40, [], k=0.05, seed=1)
-        pts, vs = ff.valid_arrays()
-        vs = vs + rng.normal(0, 0.3, vs.shape)
-        k = obstacle.radial_fit(pts, vs, FOE)
-
-        def cost(kk):
-            dx = pts[:, 0] - FOE.x_foe
-            dy = pts[:, 1] - FOE.y_foe
-            return np.sum((vs[:, 0] - kk * dx) ** 2 + (vs[:, 1] - kk * dy) ** 2)
-
-        assert cost(k) <= cost(k + 1e-3) and cost(k) <= cost(k - 1e-3)
-
-
 class TestSegmentObstacles:
     def test_planted_outliers_flagged(self):
-        outliers = [(80.0 + i, 60.0, 6.0, -5.0) for i in range(6)]
+        outliers = [overshoot(80.0 + i, 180.0) for i in range(6)]
         ff = make_field(60, outliers)
         mask = obstacle.segment_obstacles(ff, FOE, None, splat_radius=12,
                                           width=320, height=240)
@@ -70,13 +59,13 @@ class TestSegmentObstacles:
         assert len(mask.points) <= len(outliers) + 3
 
     def test_mask_covers_splat_disk(self):
-        outliers = [(100.0, 100.0, 8.0, 8.0)]
+        outliers = [overshoot(100.0, 150.0)]
         ff = make_field(60, outliers)
         mask = obstacle.segment_obstacles(ff, FOE, None, splat_radius=12,
                                           width=320, height=240)
         m = mask.plane.mask
-        assert m[100, 100] and m[100, 111] and m[111, 100]
-        assert not m[100, 100 + 13]
+        assert m[150, 100] and m[150, 111] and m[161, 100]
+        assert not m[150, 100 + 13]
 
     def test_pure_radial_field_empty(self):
         ff = make_field(60, [])
@@ -97,13 +86,13 @@ class TestSegmentObstacles:
         assert gated.empty
 
     def test_ttc_attached(self):
-        fp_ttc = TtcMap([(FeaturePoint(100.0, 100.0), 2.5)])
-        outliers = [(100.0, 100.0, 8.0, 8.0)]
+        fp_ttc = TtcMap([(FeaturePoint(100.0, 150.0), 2.5)])
+        outliers = [overshoot(100.0, 150.0)]
         ff = make_field(60, outliers)
         mask = obstacle.segment_obstacles(ff, FOE, fp_ttc, splat_radius=12,
                                           width=320, height=240)
         by_pos = {(p.x, p.y): ttc for p, _r, ttc in mask.points}
-        assert by_pos[(100.0, 100.0)] == 2.5
+        assert by_pos[(100.0, 150.0)] == 2.5
 
     def test_empty_field(self):
         mask = obstacle.segment_obstacles(FlowField([]), FOE, None, splat_radius=12,

@@ -40,6 +40,23 @@ class TestSlipAngle:
         assert math.tan(beta) == pytest.approx(math.tan(0.4) / 2.0)
 
 
+class TestYawRate:
+    def test_kinematic_formula(self):
+        beta = slip_angle(0.3, P)
+        assert vehicle.yaw_rate(4.0, 0.3, P) == pytest.approx(
+            4.0 * math.cos(beta) * math.tan(0.3) / P.wheelbase)
+
+    def test_zero_when_straight_or_stopped(self):
+        assert vehicle.yaw_rate(5.0, 0.0, P) == 0.0
+        assert vehicle.yaw_rate(0.0, 0.3, P) == 0.0
+
+    def test_step_turns_by_yaw_rate(self):
+        s2 = step(VehicleState(v=5.0, delta_f=0.2), ControlCommand(0.0, 0.0),
+                  P, 0.01)
+        assert s2.psi == pytest.approx(vehicle.yaw_rate(5.0, 0.2, P) * 0.01,
+                                       rel=1e-12)
+
+
 class TestStep:
     def test_straight_line(self):
         s = VehicleState(v=5.0)
