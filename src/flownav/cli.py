@@ -10,7 +10,7 @@ import os
 import sys
 from dataclasses import fields
 
-from . import egomotion, features, flow, imgproc, pipeline, potential, \
+from . import egomotion, flow, imgproc, pipeline, potential, \
     scene, svgplot, trace, vehicle
 from .errors import (AlignmentError, FlownavError, InsufficientFlowError,
                      DegenerateGeometryError, InvalidParameterError)
@@ -121,9 +121,7 @@ def cmd_flow(args):
     config = build_config(args)
     prev = imgproc.read_pgm(args.prev)
     next_ = imgproc.read_pgm(args.next)
-    pts = features.detect_corners(prev, max_corners=config.max_corners,
-                                  quality_level=config.quality_level,
-                                  min_distance=config.min_distance)
+    pts = pipeline.detect_features(config, prev)
     ff = flow.track(prev, next_, pts, window=config.window,
                     epsilon=config.epsilon, max_iters=config.max_iters,
                     levels=config.levels)
@@ -200,9 +198,17 @@ def cmd_replay(args):
     cam = scene.CameraModel()
     params = config.vehicle_params
     vision = pipeline.VisionState(config, cam)
+    # one fixed frame interval drives the dead reckoning and every LK pair
     dt = controls[1][0] - controls[0][0]
-    if dt <= 0:
-        raise AlignmentError("control timestamps must increase")
+    for row, (prev, cur) in enumerate(zip(controls, controls[1:]), start=2):
+        step = cur[0] - prev[0]
+        if step <= 0:
+            raise AlignmentError(
+                f"control timestamps must increase (control row {row})")
+        if abs(step - dt) > 1e-6 * dt:
+            raise AlignmentError(
+                f"control interval {step:.9g} s at control row {row} differs "
+                f"from the first, {dt:.9g} s; replay needs a fixed step")
 
     # teacher-forced vehicle history: heading and speed are dead-reckoned
     # from the recorded controls, so each prediction sees the same state the

@@ -102,6 +102,16 @@ class PipelineConfig:
                 if f.name not in ("vehicle_params", "road_field")]
 
 
+def detect_features(config, img):
+    """Corners to track from img, above the bottom band (rows >= det_row_max)
+    where flow outruns LK. The closed loop, replay and `flownav flow` all
+    detect here."""
+    return features.detect_corners(img, max_corners=config.max_corners,
+                                   quality_level=config.quality_level,
+                                   min_distance=config.min_distance,
+                                   row_range=(0, config.det_row_max))
+
+
 class VisionState:
     """Per-run vision memory: last frame/features, smoothed FOE and obstacle
     force, held desired heading."""
@@ -125,13 +135,6 @@ class VisionState:
         self.pend_gap = 0
         self.inst_sign = 0      # sign of this frame's raw detection, 0 if none
         self.commit_ok = True   # host may veto new commits (e.g. mid-recovery)
-
-    def detect(self, img):
-        c = self.config
-        return features.detect_corners(img, max_corners=c.max_corners,
-                                       quality_level=c.quality_level,
-                                       min_distance=c.min_distance,
-                                       row_range=(0, c.det_row_max))
 
     def update(self, img, pair_dt, dpsi=0.0):
         """Run the vision stack on (previous frame, img); update FOE and the
@@ -161,7 +164,7 @@ class VisionState:
             self._update_latch(pair_dt)
         self.prev_img = img
         self.prev_pyr = pyr
-        self.prev_pts = self.detect(img)
+        self.prev_pts = detect_features(c, img)
         return ff
 
     def _derotate(self, ff, dpsi):

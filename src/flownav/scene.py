@@ -7,6 +7,7 @@ texture plus lane markings; this replaces an external driving simulator for
 closed-loop runs.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -293,13 +294,13 @@ def _shade_ground(world, gx, gy, foot=None):
     return val
 
 
-def _box_hits(box, origin, dirs, seed):
-    """Slab-method ray/AABB intersection; returns (t, shade) arrays."""
-    lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
-    hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
+def _box_t(lo, hi, origin, dirs):
+    """Slab-method ray/AABB intersection (Williams et al., JGT 2005).
+
+    Returns the distance along each ray to its first box point in front of
+    the camera, inf where the ray misses."""
     t_near = np.full(dirs.shape[:-1], -np.inf)
     t_far = np.full(dirs.shape[:-1], np.inf)
-    ok = np.ones(dirs.shape[:-1], dtype=bool)
     for k in range(3):
         dk = dirs[..., k]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,18 +316,54 @@ def _box_hits(box, origin, dirs, seed):
         t_far = np.minimum(t_far, t2)
     ok = (t_near <= t_far) & (t_far > 0.0)
     t = np.where(t_near > 0.0, t_near, t_far)
-    t = np.where(ok, t, np.inf)
-    t_safe = np.where(np.isfinite(t), t, 0.0)
-    hit = origin[None, None, :] + dirs * t_safe[..., None]
-    shade = np.clip(box.intensity
-                    + 0.12 * (value_noise(hit[..., 0] * 4.1 + hit[..., 2] * 2.3,
-                                          hit[..., 1] * 4.1 + hit[..., 2] * 1.7,
-                                          seed + 31) - 0.5), 0.0, 1.0)
-    return t, shade
+    return np.where(ok, t, np.inf)
+
+
+def _box_shade(box, hit, seed):
+    """Texture value of box surface points hit (N, 3)."""
+    return np.clip(box.intensity
+                   + 0.12 * (value_noise(hit[..., 0] * 4.1 + hit[..., 2] * 2.3,
+                                         hit[..., 1] * 4.1 + hit[..., 2] * 1.7,
+                                         seed + 31) - 0.5), 0.0, 1.0)
+
+
+# a corner this close to the camera plane (m) projects unboundedly far out
+_PLANE_MARGIN = 0.01
+# pixels added around a box's projected corners, far beyond slab-test rounding
+_WINDOW_PAD = 2
+
+
+def _box_window(lo, hi, origin, basis, cam):
+    """Pixel window (rows, cols) that holds every ray hitting the box, or None.
+
+    A box wholly in front of the camera projects inside the bounding
+    rectangle of its eight projected corners; one wholly behind it is never
+    hit; one touching or straddling the camera plane gets the whole frame.
+    """
+    corners = np.array([[x, y, z] for x in (lo[0], hi[0])
+                        for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+    rel = (corners - origin) @ basis.T        # (8, 3): right, down, forward
+    depth = rel[:, 2]
+    if np.all(depth <= -_PLANE_MARGIN):
+        return None
+    if np.any(depth < _PLANE_MARGIN):
+        return slice(0, cam.height), slice(0, cam.width)
+    u = cam.cx + cam.focal * rel[:, 0] / depth
+    v = cam.cy + cam.focal * rel[:, 1] / depth
+    c0 = max(math.floor(u.min()) - _WINDOW_PAD, 0)
+    c1 = min(math.ceil(u.max()) + _WINDOW_PAD + 1, cam.width)
+    r0 = max(math.floor(v.min()) - _WINDOW_PAD, 0)
+    r1 = min(math.ceil(v.max()) + _WINDOW_PAD + 1, cam.height)
+    if c0 >= c1 or r0 >= r1:
+        return None
+    return slice(r0, r1), slice(c0, c1)
 
 
 def render(world, cam, state):
-    """Render the grayscale camera view for a vehicle state. Deterministic."""
+    """Render the grayscale camera view for a vehicle state. Deterministic.
+
+    Boxes are ray-cast only inside their screen-space window and shaded only
+    where they are the nearest hit; every pixel equals a full-frame cast."""
     if cam.offset[2] <= 0:
         raise InvalidParameterError("camera must sit above the ground plane")
     right, down, forward = _camera_basis(state.psi, cam.pitch)
@@ -354,10 +391,18 @@ def render(world, cam, state):
 
     t_best = t_ground
     for box in world.obstacles:
-        t_box, shade = _box_hits(box, origin, dirs, world.texture_seed)
-        closer = t_box < t_best
-        img = np.where(closer, shade, img)
-        t_best = np.where(closer, t_box, t_best)
+        lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
+        hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
+        win = _box_window(lo, hi, origin, basis, cam)
+        if win is None:
+            continue
+        dirs_w = dirs[win]
+        t_box = _box_t(lo, hi, origin, dirs_w)
+        closer = t_box < t_best[win]
+        t_hit = t_box[closer]
+        img[win][closer] = _box_shade(
+            box, origin + dirs_w[closer] * t_hit[:, None], world.texture_seed)
+        t_best[win][closer] = t_hit
     return GrayImage(np.clip(img, 0.0, 1.0))
 
 
@@ -380,6 +425,33 @@ def droplet_spots(shape, seed, count=40):
     return spots
 
 
+@functools.lru_cache(maxsize=8)
+def _droplet_patches(shape, seed):
+    """Each droplet's additive patch: a tuple of read-only (rows, cols, patch).
+
+    A blob passes the 0.05 cut-off only where
+    ((x - cx) / rx)^2 + ((y - cy) / ry)^2 < ln 20, so a window reaching
+    rx * sqrt(ln 20) + 1 px and ry * sqrt(ln 20) + 1 px from the centre holds
+    it; outside, a full-frame blob adds exactly 0.0. The droplets are fixed
+    per (shape, seed), so the patches are computed once and shared.
+    """
+    h, w = shape
+    reach = math.sqrt(math.log(20.0))
+    patches = []
+    for cx, cy, rx, ry in droplet_spots(shape, seed):
+        c0 = max(math.floor(cx - rx * reach) - 1, 0)
+        c1 = min(math.ceil(cx + rx * reach) + 2, w)
+        r0 = max(math.floor(cy - ry * reach) - 1, 0)
+        r1 = min(math.ceil(cy + ry * reach) + 2, h)
+        xs = np.arange(c0, c1)[None, :]
+        ys = np.arange(r0, r1)[:, None]
+        blob = np.exp(-(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2))
+        patch = 0.3 * np.where(blob > 0.05, blob, 0.0)
+        patch.flags.writeable = False
+        patches.append((slice(r0, r1), slice(c0, c1), patch))
+    return tuple(patches)
+
+
 def degrade(img, mode, seed=0):
     """Weather degradation: identity for 'clear', wet-road mirror plus
     windshield droplets for 'rain'."""
@@ -393,10 +465,8 @@ def degrade(img, mode, seed=0):
     rows = np.arange(h0, h)
     src = np.clip(2 * h0 - rows, 0, h - 1)
     data[rows] = 0.65 * data[rows] + 0.35 * data[src]
-    ys, xs = np.mgrid[0:h, 0:w]
-    for cx, cy, rx, ry in droplet_spots((h, w), seed):
-        blob = np.exp(-(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2))
-        data += 0.3 * np.where(blob > 0.05, blob, 0.0)
+    for win_rows, win_cols, patch in _droplet_patches((h, w), seed):
+        data[win_rows, win_cols] += patch
     return GrayImage(np.clip(data, 0.0, 1.0))
 
 

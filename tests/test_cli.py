@@ -92,6 +92,37 @@ def test_replay_timestamps_must_increase(capsys, tmp_path, recording):
         == RUNTIME_EXIT
 
 
+@pytest.mark.parametrize("steps", [
+    (1.0, 1.0, 0.0),    # a repeated timestamp in a later row
+    (1.0, 1.0, -0.5),   # a backwards step in a later row
+    (1.0, 1.0, 1.5),    # an uneven interval in a later row
+])
+def test_replay_every_interval_checked(capsys, tmp_path, recording, steps):
+    frames, _ = recording
+    dt = pipeline.PipelineConfig().dt
+    times = [0.0]
+    for k in steps:
+        times.append(times[-1] + k * dt)
+    controls = tmp_path / "c.csv"
+    controls.write_text("".join(f"{t!r},0.0,0.0\n" for t in times))
+    assert _run(capsys, ["replay", frames, controls, "--out", tmp_path]) \
+        == RUNTIME_EXIT
+    assert not (tmp_path / "replay.csv").exists()
+
+
+def test_replay_accepts_accumulated_timestamps(capsys, tmp_path, recording):
+    # a recorder that adds dt each step drifts by float rounding only
+    frames, _ = recording
+    dt = pipeline.PipelineConfig().dt
+    t, lines = 0.0, []
+    for _ in range(N_FRAMES):
+        lines.append(f"{t!r},0.0,0.0\n")
+        t += dt
+    controls = tmp_path / "c.csv"
+    controls.write_text("".join(lines))
+    assert _run(capsys, ["replay", frames, controls, "--out", tmp_path]) == 0
+
+
 # ---------------------------------------------------------------------------
 # flow and replay over rendered frames
 # ---------------------------------------------------------------------------
@@ -108,6 +139,9 @@ def test_flow_writes_tracks(capsys, tmp_path, recording):
     assert len(valid) >= 10
     assert all(math.isfinite(v) for r in valid for v in r)
     assert (out / "flow.svg").read_text().startswith("<svg")
+    # corners come from the closed loop's detector, above the bottom band
+    det_row_max = pipeline.PipelineConfig().det_row_max
+    assert all(r[1] < det_row_max for r in rows)
 
 
 def test_replay_predicts_every_pair(capsys, tmp_path, recording):

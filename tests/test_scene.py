@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from flownav import features, scene
 from flownav.errors import InvalidParameterError
+from flownav.imgproc import GrayImage
 from flownav.scene import (BoxObstacle, CameraModel, Road, RoadSegment,
                            WorldConfig, degrade, ground_truth, make_course,
                            render, value_noise)
@@ -220,3 +222,152 @@ class TestGroundTruthAndCourses:
     def test_unknown_course(self):
         with pytest.raises(InvalidParameterError):
             make_course("figure-eight")
+
+
+# ---------------------------------------------------------------------------
+# oracle: render and degrade equal a straightforward full-frame reference
+# ---------------------------------------------------------------------------
+#
+# The renderer casts box rays only inside each box's screen-space window and
+# shades only the pixels a box wins; rain adds cached per-droplet patches.
+# Every step is per-pixel arithmetic, so the frames must equal, bit for bit,
+# the plain full-frame code below.
+
+
+def _ref_box_hits(box, origin, dirs, seed):
+    """Full-frame slab test and shade, for every pixel of the frame."""
+    lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
+    hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
+    t_near = np.full(dirs.shape[:-1], -np.inf)
+    t_far = np.full(dirs.shape[:-1], np.inf)
+    for k in range(3):
+        dk = dirs[..., k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (lo[k] - origin[k]) / dk
+            t2 = (hi[k] - origin[k]) / dk
+        swap = t1 > t2
+        t1, t2 = np.where(swap, t2, t1), np.where(swap, t1, t2)
+        par = np.abs(dk) < 1e-12
+        inside = (origin[k] >= lo[k]) & (origin[k] <= hi[k])
+        t1 = np.where(par, np.where(inside, -np.inf, np.inf), t1)
+        t2 = np.where(par, np.where(inside, np.inf, -np.inf), t2)
+        t_near = np.maximum(t_near, t1)
+        t_far = np.minimum(t_far, t2)
+    ok = (t_near <= t_far) & (t_far > 0.0)
+    t = np.where(t_near > 0.0, t_near, t_far)
+    t = np.where(ok, t, np.inf)
+    t_safe = np.where(np.isfinite(t), t, 0.0)
+    hit = origin[None, None, :] + dirs * t_safe[..., None]
+    shade = np.clip(box.intensity
+                    + 0.12 * (value_noise(hit[..., 0] * 4.1 + hit[..., 2] * 2.3,
+                                          hit[..., 1] * 4.1 + hit[..., 2] * 1.7,
+                                          seed + 31) - 0.5), 0.0, 1.0)
+    return t, shade
+
+
+def _camera_rays(cam, state):
+    basis = np.stack(scene._camera_basis(state.psi, cam.pitch))
+    cp, sp = math.cos(state.psi), math.sin(state.psi)
+    origin = np.array([state.x + cam.offset[0] * cp - cam.offset[1] * sp,
+                       state.y + cam.offset[0] * sp + cam.offset[1] * cp,
+                       cam.offset[2]])
+    return origin, basis, cam.pixel_dirs() @ basis
+
+
+def _ref_render(world, cam, state):
+    """Ground-only frame, then every box composited over the full frame."""
+    bare = dataclasses.replace(world, obstacles=[])
+    img = render(bare, cam, state).data
+    origin, _, dirs = _camera_rays(cam, state)
+    dz = dirs[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_best = np.where(dz < -1e-9, -origin[2] / dz, np.inf)
+    for box in world.obstacles:
+        t_box, shade = _ref_box_hits(box, origin, dirs, world.texture_seed)
+        closer = t_box < t_best
+        img = np.where(closer, shade, img)
+        t_best = np.where(closer, t_box, t_best)
+    return np.clip(img, 0.0, 1.0)
+
+
+def _ref_degrade(img, seed):
+    """Wet-road mirror plus 40 full-frame droplet blobs."""
+    data = img.data.copy()
+    h, w = data.shape
+    h0 = int(0.4 * h)
+    rows = np.arange(h0, h)
+    src = np.clip(2 * h0 - rows, 0, h - 1)
+    data[rows] = 0.65 * data[rows] + 0.35 * data[src]
+    ys, xs = np.mgrid[0:h, 0:w]
+    for cx, cy, rx, ry in scene.droplet_spots((h, w), seed):
+        blob = np.exp(-(((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2))
+        data += 0.3 * np.where(blob > 0.05, blob, 0.0)
+    return np.clip(data, 0.0, 1.0)
+
+
+def _box_case(cam, state, box):
+    """How the renderer treats a box: window, beside, behind or straddle."""
+    origin, basis, _ = _camera_rays(cam, state)
+    lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
+    hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
+    win = scene._box_window(lo, hi, origin, basis, cam)
+    depth = [(np.array([x, y, z]) - origin) @ basis[2]
+             for x in (lo[0], hi[0]) for y in (lo[1], hi[1])
+             for z in (lo[2], hi[2])]
+    if min(depth) > 0.0:
+        return "beside" if win is None else "window"
+    if max(depth) < 0.0:
+        return "behind" if win is None else "behind, yet cast"
+    full = (slice(0, cam.height), slice(0, cam.width))
+    return "straddle" if win == full else "straddle, yet windowed"
+
+
+# (arclength, lateral offset, heading offset from the road) on the
+# obstacles course, and how the first box (s = 70 m, d = 0.9 m) is treated
+OBSTACLE_STATES = [
+    (50.0, 0.0, 0.4, "window"),
+    (50.0, 0.0, -0.4, "window"),
+    (66.0, 0.0, 0.4, "window"),     # window clipped by the frame edge
+    (66.0, 0.0, -0.4, "window"),
+    (60.0, -2.0, -0.4, "beside"),   # in front, outside the frustum
+    (60.0, 3.5, 0.4, "beside"),
+    (80.0, 0.0, 0.4, "behind"),
+    (80.0, 0.0, -0.4, "behind"),
+    (68.5, 3.5, 0.4, "straddle"),   # the whole frame is cast
+    (69.0, 3.5, -0.4, "straddle"),
+]
+
+
+@pytest.mark.parametrize("s,d,dh,case", OBSTACLE_STATES)
+def test_render_matches_full_frame_reference(s, d, dh, case):
+    world = make_course("obstacles")
+    cam = CameraModel()
+    x, y, h = world.road.pose_at(s)
+    state = VehicleState(x=x - math.sin(h) * d, y=y + math.cos(h) * d,
+                         psi=h + dh)
+    assert _box_case(cam, state, world.obstacles[0]) == case
+    want = _ref_render(world, cam, state)
+    assert np.array_equal(render(world, cam, state).data, want)
+    if case in ("window", "straddle"):
+        bare = render(dataclasses.replace(world, obstacles=[]), cam, state)
+        assert not np.array_equal(bare.data, want)   # the box is drawn
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_rain_matches_full_frame_reference(seed):
+    world = make_course("straight-arc", seed=seed)
+    img = render(world, CameraModel(), world.start_state)
+    want = _ref_degrade(img, seed)
+    for _ in range(2):      # the second call reads the cached droplets
+        assert np.array_equal(degrade(img, "rain", seed=seed).data, want)
+
+
+def test_rain_droplets_cached_per_shape():
+    rng = np.random.default_rng(0)
+    img = GrayImage(rng.uniform(0.0, 1.0, (90, 130)))
+    assert np.array_equal(degrade(img, "rain", seed=7).data,
+                          _ref_degrade(img, 7))
+    patches = scene._droplet_patches((90, 130), 7)
+    assert patches is scene._droplet_patches((90, 130), 7)
+    assert patches is not scene._droplet_patches((240, 320), 7)
+    assert not any(p.flags.writeable for _, _, p in patches)
