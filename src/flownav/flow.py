@@ -50,23 +50,52 @@ def build_pyramid(img, levels):
     return pyr
 
 
-def _bilinear(data, xs, ys):
-    """Sample data at float coords with clamped bilinear interpolation."""
+def _axis(c, n):
+    """Clamp float32 sample coordinates c to [0, n-1]; return the integer
+    index below, the one above (clamped) and the float64 fraction."""
+    c = np.clip(c, 0.0, n - 1.0)
+    i0 = c.astype(np.intp)          # c >= 0, so truncation == floor
+    return i0, np.minimum(i0 + 1, n - 1), c - i0
+
+
+def _sample(data, xs, ys):
+    """Clamped bilinear samples of a float64 image on per-point grids.
+
+    xs (m, win) holds each point's window-column x and ys (m, win) its
+    window-row y, both float32 and increasing in steps of about 1 px.
+    Returns (m, win*win) samples, row-major over (row, column), each blended
+    as (T[y0,x0](1-fx) + T[y0,x1]fx)(1-fy) + (T[y1,x0](1-fx) + T[y1,x1]fx)fy.
+
+    The horizontal blend is done once per source row. float32 rounding
+    moves a coordinate by less than 2**-13 px on images under 512 px, so the
+    floors of one window's rows span at most win rows; with y1 <= y0 + 1, a
+    point reads at most win + 2 source rows from its first y0.
+    """
     h, w = data.shape
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = xs.astype(np.intp)          # xs >= 0, so truncation == floor
-    y0 = ys.astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
+    m, win = xs.shape
+    x0, x1, fx = _axis(xs, w)
+    y0, y1, fy = _axis(ys, h)
+    first = y0[:, :1]
+    # flat indices (win+2, m, win) of source rows first, first+1, ...; rows
+    # past the bottom edge clip to the last pixel and are never picked
+    idx = (first * w + x0) + (np.arange(win + 2) * w)[:, None, None]
     flat = data.ravel()
-    b0 = y0 * w
-    b1 = y1 * w
-    top = flat.take(b0 + x0) * (1 - fx) + flat.take(b0 + x1) * fx
-    bot = flat.take(b1 + x0) * (1 - fx) + flat.take(b1 + x1) * fx
-    return top * (1 - fy) + bot * fy
+    rows = flat.take(idx, mode="clip")
+    rows *= 1 - fx
+    idx += x1 - x0
+    right = flat.take(idx, mode="clip")
+    right *= fx
+    rows += right
+    # window row j of point i blends source rows y0 and y1, found at
+    # (y - first) * m + i in the (win+2)*m stacked rows
+    rows = rows.reshape(-1, win)
+    at = np.arange(m)[:, None] - first * m
+    out = rows.take(y0 * m + at, axis=0)
+    out *= (1 - fy)[:, :, None]
+    bot = rows.take(y1 * m + at, axis=0)
+    bot *= fy[:, :, None]
+    out += bot
+    return out.reshape(m, win * win)
 
 
 def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
@@ -77,6 +106,10 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
     near-singular, or that fail to converge, are marked invalid. Callers that
     track consecutive frames may pass precomputed pyramids to avoid
     rebuilding them.
+
+    Sampling is separable in its coordinates: a window sample's x depends
+    only on its column and its y only on its row, so coordinates, floors and
+    fractions are computed per window row and column (see _sample).
     """
     if prev.width != next_.width or prev.height != next_.height:
         raise InvalidParameterError("frame dimensions differ")
@@ -91,8 +124,6 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
     r = window // 2
     offs = np.arange(-r, r + 1, dtype=np.float32)
-    off_x = np.tile(offs, window)          # (window*window,)
-    off_y = np.repeat(offs, window)
 
     n = len(points)
     px = np.array([p.x for p in points])
@@ -103,11 +134,11 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
     for lvl in range(levels - 1, -1, -1):
         scale = 2.0 ** lvl
-        # float32 image data: sub-pixel residuals stay far above float32
-        # resolution while halving the memory traffic of the solver
-        data_p = pyr_prev[lvl].data.astype(np.float32)
-        data_n = pyr_next[lvl].data.astype(np.float32)
-        gx, gy = (g.astype(np.float32) for g in grads[lvl])
+        # float32 pixels, widened once: the float64 fractions promote every
+        # product to float64 anyway, so the blend sees the same values
+        data_p, data_n, gx, gy = (
+            a.astype(np.float32).astype(np.float64)
+            for a in (pyr_prev[lvl].data, pyr_next[lvl].data, *grads[lvl]))
         h, w = data_p.shape
 
         cx = (px / scale).astype(np.float32)
@@ -122,11 +153,11 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
             continue
         idx = np.nonzero(do)[0]
 
-        sx = cx[idx, None] + off_x[None, :]   # (m, win*win)
-        sy = cy[idx, None] + off_y[None, :]
-        patch_p = _bilinear(data_p, sx, sy)
-        patch_gx = _bilinear(gx, sx, sy)
-        patch_gy = _bilinear(gy, sx, sy)
+        sx = cx[idx, None] + offs[None, :]    # (m, win): x of each column
+        sy = cy[idx, None] + offs[None, :]    # (m, win): y of each row
+        patch_p = _sample(data_p, sx, sy)     # (m, win*win)
+        patch_gx = _sample(gx, sx, sy)
+        patch_gy = _sample(gy, sx, sy)
 
         g11 = np.sum(patch_gx * patch_gx, axis=1)
         g12 = np.sum(patch_gx * patch_gy, axis=1)
@@ -137,27 +168,33 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
         if lvl == 0:
             alive[idx[~good]] = False
         det = g11 * g22 - g12 * g12
-        det = np.where(good, det, 1.0)
 
         dv = d[idx].astype(np.float32)
-        active = good.copy()
         done = np.zeros(len(idx), dtype=bool)
+        # working set of the points still iterating, compacted only when
+        # some of them converge
+        a = np.nonzero(good)[0]
+        ws = [x[a] for x in (sx, sy, patch_p, patch_gx, patch_gy,
+                             g11, g12, g22, det)]
         for _ in range(max_iters):
-            if not active.any():
+            if not a.size:
                 break
-            a = np.nonzero(active)[0]
-            nx = sx[a] + dv[a, 0:1]
-            ny = sy[a] + dv[a, 1:2]
-            diff = patch_p[a] - _bilinear(data_n, nx, ny)
-            b1 = np.sum(diff * patch_gx[a], axis=1)
-            b2 = np.sum(diff * patch_gy[a], axis=1)
-            ux = (g22[a] * b1 - g12[a] * b2) / det[a]
-            uy = (-g12[a] * b1 + g11[a] * b2) / det[a]
+            wsx, wsy, wp, wgx, wgy, w11, w12, w22, wdet = ws
+            nx = wsx + dv[a, 0:1]
+            ny = wsy + dv[a, 1:2]
+            diff = wp - _sample(data_n, nx, ny)
+            b1 = np.sum(diff * wgx, axis=1)
+            b2 = np.sum(diff * wgy, axis=1)
+            ux = (w22 * b1 - w12 * b2) / wdet
+            uy = (-w12 * b1 + w11 * b2) / wdet
             dv[a, 0] += ux
             dv[a, 1] += uy
             small = np.hypot(ux, uy) < epsilon
-            done[a[small]] = True
-            active[a[small]] = False
+            if small.any():
+                done[a[small]] = True
+                keep = ~small
+                a = a[keep]
+                ws = [x[keep] for x in ws]
         d[idx] = dv
         if lvl == 0:
             # displaced window must also stay inside the frame — clamped

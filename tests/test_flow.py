@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flownav import flow
+from flownav import flow, imgproc
 from flownav.errors import InvalidParameterError
 from flownav.features import FeaturePoint
 from flownav.imgproc import GrayImage
@@ -54,22 +54,29 @@ class TestPyramid:
             assert np.allclose(p.data, 0.7)
 
 
+def grid(xs, ys):
+    """One point's float32 window axes from its column and row coordinates."""
+    return (np.array([xs], dtype=np.float32), np.array([ys], dtype=np.float32))
+
+
 class TestBilinear:
     def test_exact_at_integers(self):
         rng = np.random.default_rng(0)
         data = rng.random((8, 8))
-        out = flow._bilinear(data, np.array([3.0]), np.array([5.0]))
-        assert out[0] == data[5, 3]
+        out = flow._sample(data, *grid([3.0], [5.0]))
+        assert out[0, 0] == data[5, 3]
 
     def test_midpoint_average(self):
         data = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = flow._bilinear(data, np.array([0.5]), np.array([0.5]))
-        assert out[0] == pytest.approx(0.5)
+        out = flow._sample(data, *grid([0.5], [0.5]))
+        assert out[0, 0] == pytest.approx(0.5)
 
     def test_clamped_outside(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = flow._bilinear(data, np.array([-5.0, 10.0]), np.array([-5.0, 10.0]))
-        assert out[0] == 1.0 and out[1] == 4.0
+        xs = np.array([[-5.0], [10.0]], dtype=np.float32)
+        ys = np.array([[-5.0], [10.0]], dtype=np.float32)
+        out = flow._sample(data, xs, ys)
+        assert out[0, 0] == 1.0 and out[1, 0] == 4.0
 
 
 class TestTrack:
@@ -142,3 +149,218 @@ class TestTrack:
         img = GrayImage(textured(64, 64, 6))
         ff = flow.track(img, img, [], frame_interval=0.1)
         assert ff.frame_interval == 0.1
+
+
+# Reference: per-sample bilinear LK as written before sampling became
+# separable. Every coordinate, floor, fraction and flat index is computed
+# for each of the m * window**2 samples. flow.track must return exactly
+# the same FlowVectors.
+
+def bilinear_ref(data, xs, ys):
+    h, w = data.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = xs.astype(np.intp)
+    y0 = ys.astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    flat = data.ravel()
+    b0 = y0 * w
+    b1 = y1 * w
+    top = flat.take(b0 + x0) * (1 - fx) + flat.take(b0 + x1) * fx
+    bot = flat.take(b1 + x0) * (1 - fx) + flat.take(b1 + x1) * fx
+    return top * (1 - fy) + bot * fy
+
+
+def track_ref(prev, next_, points, window=25, epsilon=0.03, max_iters=30,
+              levels=3):
+    pyr_prev = flow.build_pyramid(prev, levels)
+    pyr_next = flow.build_pyramid(next_, levels)
+    grads = [imgproc.spatial_gradient(p) for p in pyr_prev]
+    r = window // 2
+    offs = np.arange(-r, r + 1, dtype=np.float32)
+    off_x = np.tile(offs, window)
+    off_y = np.repeat(offs, window)
+    n = len(points)
+    px = np.array([p.x for p in points])
+    py = np.array([p.y for p in points])
+    d = np.zeros((n, 2))
+    alive = np.ones(n, dtype=bool)
+    converged = np.zeros(n, dtype=bool)
+    for lvl in range(levels - 1, -1, -1):
+        scale = 2.0 ** lvl
+        data_p = pyr_prev[lvl].data.astype(np.float32)
+        data_n = pyr_next[lvl].data.astype(np.float32)
+        gx, gy = (g.astype(np.float32) for g in grads[lvl])
+        h, w = data_p.shape
+        cx = (px / scale).astype(np.float32)
+        cy = (py / scale).astype(np.float32)
+        d = d * 2.0 if lvl < levels - 1 else d
+        inside = ((cx - r >= 0) & (cx + r <= w - 1)
+                  & (cy - r >= 0) & (cy + r <= h - 1))
+        if lvl == 0:
+            alive &= inside
+        do = alive & inside
+        if not do.any():
+            continue
+        idx = np.nonzero(do)[0]
+        sx = cx[idx, None] + off_x[None, :]
+        sy = cy[idx, None] + off_y[None, :]
+        patch_p = bilinear_ref(data_p, sx, sy)
+        patch_gx = bilinear_ref(gx, sx, sy)
+        patch_gy = bilinear_ref(gy, sx, sy)
+        g11 = np.sum(patch_gx * patch_gx, axis=1)
+        g12 = np.sum(patch_gx * patch_gy, axis=1)
+        g22 = np.sum(patch_gy * patch_gy, axis=1)
+        trace = g11 + g22
+        lam_min = 0.5 * (trace - np.sqrt((g11 - g22) ** 2 + 4 * g12 * g12))
+        good = lam_min >= flow.MIN_EIGEN
+        if lvl == 0:
+            alive[idx[~good]] = False
+        det = np.where(good, g11 * g22 - g12 * g12, 1.0)
+        dv = d[idx].astype(np.float32)
+        active = good.copy()
+        done = np.zeros(len(idx), dtype=bool)
+        for _ in range(max_iters):
+            if not active.any():
+                break
+            a = np.nonzero(active)[0]
+            nx = sx[a] + dv[a, 0:1]
+            ny = sy[a] + dv[a, 1:2]
+            diff = patch_p[a] - bilinear_ref(data_n, nx, ny)
+            b1 = np.sum(diff * patch_gx[a], axis=1)
+            b2 = np.sum(diff * patch_gy[a], axis=1)
+            ux = (g22[a] * b1 - g12[a] * b2) / det[a]
+            uy = (-g12[a] * b1 + g11[a] * b2) / det[a]
+            dv[a, 0] += ux
+            dv[a, 1] += uy
+            small = np.hypot(ux, uy) < epsilon
+            done[a[small]] = True
+            active[a[small]] = False
+        d[idx] = dv
+        if lvl == 0:
+            ex = cx[idx] + dv[:, 0]
+            ey = cy[idx] + dv[:, 1]
+            dest_inside = ((ex - r >= 0) & (ex + r <= w - 1)
+                           & (ey - r >= 0) & (ey + r <= h - 1))
+            converged[idx] = done & good & dest_inside
+    return [flow.FlowVector(p, float(d[i, 0]), float(d[i, 1]),
+                            bool(alive[i] and converged[i]))
+            for i, p in enumerate(points)]
+
+
+class TestSampleParity:
+    def test_random_windows(self):
+        rng = np.random.default_rng(8)
+        data = rng.random((150, 290)).astype(np.float32)
+        offs = np.arange(-12, 13, dtype=np.float32)
+        # centres inside, near and beyond every edge, at sub-pixel offsets
+        cx = rng.uniform(-20, 310, 40).astype(np.float32)
+        cy = rng.uniform(-20, 170, 40).astype(np.float32)
+        xs = cx[:, None] + offs
+        ys = cy[:, None] + offs
+        ref = bilinear_ref(data, np.tile(xs, 25), np.repeat(ys, 25, axis=1))
+        assert np.array_equal(flow._sample(data.astype(np.float64), xs, ys),
+                              ref)
+
+    def test_rows_spanning_window_plus_one(self):
+        # 132 + offs spans rows 120..144 exactly. float32 spacing is 2**-17
+        # below 128 and 2**-16 above, so adding dv = -2**-17 gives exactly
+        # 120 - 2**-17 but rounds the tie 144 - 2**-17 to even, 144: the
+        # floors span 25 rows and y1 reaches the 27th row from the first y0
+        data = np.random.default_rng(9).random((160, 40)).astype(np.float32)
+        offs = np.arange(-12, 13, dtype=np.float32)
+        ys = (np.float32(132.0) + offs)[None, :] + np.float32(-2.0 ** -17)
+        xs = (np.float32(20.25) + offs)[None, :]
+        y0 = ys.astype(np.intp)
+        assert y0[0, -1] - y0[0, 0] == 25
+        ref = bilinear_ref(data, np.tile(xs, 25), np.repeat(ys, 25, axis=1))
+        assert np.array_equal(flow._sample(data.astype(np.float64), xs, ys),
+                              ref)
+
+
+class TestTrackParity:
+    """flow.track against track_ref: FlowVector lists compared with ==."""
+
+    H, W = 176, 256
+
+    def pair(self, dx, dy, seed=11):
+        base = textured(self.H, self.W, seed)
+        return GrayImage(base), GrayImage(shifted(base, dx, dy))
+
+    def check(self, prev, next_, pts, **kw):
+        got = flow.track(prev, next_, pts, **kw).vectors
+        assert got == track_ref(prev, next_, pts, **kw)
+        return got
+
+    def test_integer_corners(self):
+        prev, next_ = self.pair(3, -2)
+        pts = grid_points(self.W, self.H, margin=20, step=23)
+        got = self.check(prev, next_, pts)
+        assert sum(v.valid for v in got) >= len(pts) * 0.8
+
+    def test_float_points_as_in_backward_call(self):
+        prev, next_ = self.pair(-2, 1)
+        fwd = flow.track(prev, next_, grid_points(self.W, self.H, step=29))
+        targets = [FeaturePoint(v.origin.x + v.vx, v.origin.y + v.vy)
+                   for v in fwd.vectors if v.valid]
+        assert any(p.x != int(p.x) for p in targets)
+        got = self.check(next_, prev, targets)
+        assert all(v.valid for v in got)
+
+    def test_windows_straddling_128(self):
+        prev, next_ = self.pair(2, 2)
+        pts = [FeaturePoint(x, y) for x in (120.0, 127.6, 128.0, 133.3)
+               for y in (60.0, 121.5, 128.0, 134.7)]
+        self.check(prev, next_, pts)
+
+    def waves(self, ox, oy):
+        """Smooth waves moved by (ox, oy) px; LK follows them far."""
+        yy, xx = np.mgrid[0:self.H, 0:self.W]
+        x, y = xx - ox, yy - oy
+        return GrayImage(0.5 + 0.2 * np.sin(2 * np.pi * x / 83)
+                         + 0.15 * np.sin(2 * np.pi * y / 71)
+                         + 0.1 * np.sin(2 * np.pi * (x + y) / 57 + 1.0))
+
+    def test_clamped_at_each_border(self):
+        # each point's window fits with 4 px to spare and moves 8 px toward
+        # one edge: the displaced window samples clamped pixels there
+        r = 12
+        cases = [((-8, 0), FeaturePoint(r + 4.0, 80.0)),
+                 ((8, 0), FeaturePoint(self.W - 1 - r - 4.0, 80.0)),
+                 ((0, -8), FeaturePoint(100.0, r + 4.0)),
+                 ((0, 8), FeaturePoint(100.0, self.H - 1 - r - 4.0))]
+        for (dx, dy), p in cases:
+            got = self.check(self.waves(0, 0), self.waves(dx, dy),
+                             [p, FeaturePoint(120.0, 90.0)])
+            ex, ey = p.x + got[0].vx, p.y + got[0].vy
+            assert not (r <= ex <= self.W - 1 - r and r <= ey <= self.H - 1 - r)
+            assert not got[0].valid and got[1].valid
+
+    def test_shift_leaving_the_frame(self):
+        # waves moving 24 px right: points near the right edge follow them
+        # out of the frame, where every sample is clamped
+        pts = [FeaturePoint(x, y) for x in (150.0, 200.0, 230.0)
+               for y in (40.0, 90.0, 140.0)]
+        got = self.check(self.waves(0, 0), self.waves(24, 0), pts)
+        assert [v.valid for v in got] == [True] * 6 + [False] * 3
+        assert all(v.origin.x + v.vx + 12 > self.W - 1 for v in got[6:])
+
+    def test_flat_patch_rejected(self):
+        img = np.full((self.H, self.W), 0.5)
+        img[:, :100] = textured(self.H, 100, 12)
+        prev = GrayImage(img)
+        next_ = GrayImage(shifted(img, 1, 0))
+        got = self.check(prev, next_, [FeaturePoint(50.0, 80.0),
+                                       FeaturePoint(200.0, 80.0)])
+        assert got[0].valid and not got[1].valid
+
+    @pytest.mark.parametrize("window,levels", [(15, 2), (15, 3), (25, 2),
+                                               (25, 3)])
+    def test_window_and_levels(self, window, levels):
+        prev, next_ = self.pair(-3, 2, seed=13)
+        pts = grid_points(self.W, self.H, margin=10, step=19)
+        pts += [FeaturePoint(p.x + 0.37, p.y - 0.61) for p in pts[::3]]
+        self.check(prev, next_, pts, window=window, levels=levels)
