@@ -93,13 +93,14 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
         keep = np.sort(perm[first])
         ys, xs, scores = ys[keep], xs[keep], scores[keep]
 
-    # greedy NMS on a coarse occupancy grid
+    # greedy NMS on a coarse occupancy grid, over Python ints and floats
+    # (numpy scalars would make each step of the loop several times slower)
     cell = max(1, int(min_distance))
     occupied = {}
     picked = []
     min_d2 = float(min_distance) ** 2
-    for x, y, s in zip(xs, ys, scores):
-        cx, cy = int(x) // cell, int(y) // cell
+    for x, y, s in zip(xs.tolist(), ys.tolist(), scores.tolist()):
+        cx, cy = x // cell, y // cell
         ok = True
         for nx in (cx - 1, cx, cx + 1):
             for ny in (cy - 1, cy, cy + 1):
@@ -112,8 +113,8 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
             if not ok:
                 break
         if ok:
-            picked.append(FeaturePoint(float(x), float(y), float(s)))
-            occupied.setdefault((cx, cy), []).append((float(x), float(y)))
+            picked.append(FeaturePoint(float(x), float(y), s))
+            occupied.setdefault((cx, cy), []).append((x, y))
             if len(picked) >= max_corners:
                 break
     return picked

@@ -98,18 +98,14 @@ class Road:
         """
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
-        best_dist = np.full(px.shape, np.inf)
-        best_s = np.zeros(px.shape)
-        best_d = np.zeros(px.shape)
-        for seg, (s0, x0, y0, h) in zip(self.segments, self._starts):
+        for k, (seg, (s0, x0, y0, h)) in enumerate(zip(self.segments,
+                                                        self._starts)):
             ch, sh = math.cos(h), math.sin(h)
-            dx = px - x0
-            dy = py - y0
             if seg.kind == "straight":
-                s_loc = np.clip(ch * dx + sh * dy, 0.0, seg.length)
-                cx = x0 + s_loc * ch
-                cy = y0 + s_loc * sh
-                hh = np.full(px.shape, h)
+                s_loc = np.clip(ch * (px - x0) + sh * (py - y0), 0.0, seg.length)
+                ddx = px - (x0 + s_loc * ch)
+                ddy = py - (y0 + s_loc * sh)
+                lat = -sh * ddx + ch * ddy
             else:
                 ccx = x0 - seg.radius * sh * seg.turn
                 ccy = y0 + seg.radius * ch * seg.turn
@@ -119,13 +115,14 @@ class Road:
                 sweep = np.mod(sweep + math.pi, 2 * math.pi) - math.pi
                 s_loc = np.clip(sweep * seg.radius, 0.0, seg.length)
                 a = a0 + s_loc / seg.radius * seg.turn
-                cx = ccx + seg.radius * np.cos(a)
-                cy = ccy + seg.radius * np.sin(a)
+                ddx = px - (ccx + seg.radius * np.cos(a))
+                ddy = py - (ccy + seg.radius * np.sin(a))
                 hh = h + s_loc / seg.radius * seg.turn
-            ddx = px - cx
-            ddy = py - cy
+                lat = -np.sin(hh) * ddx + np.cos(hh) * ddy
             dist = np.hypot(ddx, ddy)
-            lat = -np.sin(hh) * ddx + np.cos(hh) * ddy
+            if k == 0:
+                best_dist, best_s, best_d = dist, s0 + s_loc, lat
+                continue
             closer = dist < best_dist
             best_dist = np.where(closer, dist, best_dist)
             best_s = np.where(closer, s0 + s_loc, best_s)
@@ -227,23 +224,34 @@ def value_noise(u, v, seed, octaves=3, foot=None):
     octaves whose wavelength approaches it are faded out toward their mean,
     the analytic equivalent of mip-mapping. Without it, distant texture
     aliases into frame-to-frame shimmer that a tracker mistakes for motion.
+    With it, an octave is evaluated only on the samples where its faded
+    amplitude is not zero: anywhere else it would add a signed zero to a sum
+    that is never -0.0, which changes nothing. The fade deepens with every
+    octave, so each octave's samples are a subset of the previous one's.
     """
-    total = np.zeros(np.shape(u))
+    u, v = np.asarray(u), np.asarray(v)
+    shape = u.shape
+    total = np.zeros(shape)
+    live = ...              # every sample
+    if foot is not None:
+        u, v, foot, total = (np.ravel(a) for a in
+                             (u, v, np.broadcast_to(foot, shape), total))
+        live = np.arange(total.size)
     amp = 1.0
     norm = 0.0
     freq = 1.0
     for o in range(octaves):
         amp_eff = amp
         if foot is not None:
-            cyc = freq * np.asarray(foot)       # cycles per footprint
-            amp_eff = amp * np.clip((0.5 - cyc) / 0.25, 0.0, 1.0)
-        total = total + amp_eff * (_lattice_noise(np.asarray(u) * freq,
-                                                  np.asarray(v) * freq,
-                                                  seed + 101 * o) - 0.5)
+            amp_eff = amp * np.clip((0.5 - freq * foot[live]) / 0.25, 0.0, 1.0)
+            keep = np.flatnonzero(amp_eff)
+            live, amp_eff = live[keep], amp_eff[keep]
+        total[live] += amp_eff * (_lattice_noise(u[live] * freq, v[live] * freq,
+                                                 seed + 101 * o) - 0.5)
         norm += amp
         amp *= 0.5
         freq *= 2.0
-    return 0.5 + total / norm
+    return 0.5 + total.reshape(shape) / norm
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +269,13 @@ def _camera_basis(psi, pitch):
 
 
 def _shade_ground(world, gx, gy, foot=None):
-    """Texture value for ground-plane points (vectorized).
+    """Texture value for ground-plane points (vectorized, flat arrays).
 
     foot is the per-sample ground footprint in metres; texture octaves and
-    lane-marking coverage are anti-aliased against it.
+    lane-marking coverage are anti-aliased against it. Like the octaves in
+    value_noise, each lane line is blended only into the samples within
+    half-width + footprint of it, a superset of those it covers at all:
+    elsewhere its coverage is 0 and the blend would leave the value as is.
     """
     s, d = world.road.project(gx, gy)
     seed = world.texture_seed
@@ -284,13 +295,15 @@ def _shade_ground(world, gx, gy, foot=None):
     # instead of shimmering.
     aa = np.maximum(foot, 1e-6)
     half = world.road.width / 2.0
-    for b in (-half, half):
-        cov = np.clip((0.15 - np.abs(d - b)) / aa + 0.5, 0.0, 1.0)
-        val = val + (0.92 - val) * cov
-    for b in (-LANE_WIDTH, 0.0, LANE_WIDTH):
-        cov = np.clip((0.10 - np.abs(d - b)) / aa + 0.5, 0.0, 1.0)
-        cov = np.where(np.mod(s, 12.0) < 3.0, cov, 0.0)
-        val = val + (0.92 - val) * cov
+    lines = [(b, 0.15, False) for b in (-half, half)]
+    lines += [(b, 0.10, True) for b in (-LANE_WIDTH, 0.0, LANE_WIDTH)]
+    for b, hw, dashed in lines:
+        near = np.flatnonzero(np.abs(d - b) < hw + aa)
+        if dashed:
+            near = near[np.mod(s[near], 12.0) < 3.0]
+        cov = np.clip((hw - np.abs(d[near] - b)) / aa[near] + 0.5, 0.0, 1.0)
+        v = val[near]
+        val[near] = v + (0.92 - v) * cov
     return val
 
 
@@ -374,22 +387,26 @@ def render(world, cam, state):
     oy = state.y + cam.offset[0] * sp + cam.offset[1] * cp
     origin = np.array([ox, oy, cam.offset[2]])
 
-    dz = dirs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ground = np.where(dz < -1e-9, -origin[2] / dz, np.inf)
-    img = np.full(dz.shape, SKY_INTENSITY)
-    ground = np.isfinite(t_ground)
-    if ground.any():
-        gx = origin[0] + dirs[..., 0][ground] * t_ground[ground]
-        gy = origin[1] + dirs[..., 1][ground] * t_ground[ground]
+    # no roll: a ray's z depends on its row alone, so the ground is the slab
+    # of rows from r0 down
+    below = dirs[:, 0, 2] < -1e-9
+    r0 = int(np.argmax(below)) if below.any() else cam.height
+    img = np.full(dirs.shape[:2], SKY_INTENSITY)
+    t_best = np.full(dirs.shape[:2], np.inf)
+    if r0 < cam.height:
+        dx, dy, dz = (dirs[r0:, :, k] for k in range(3))
+        t = -origin[2] / dz
+        t_best[r0:] = t
+        gx = origin[0] + dx * t
+        gy = origin[1] + dy * t
         # ground footprint of one pixel: (t * |dir| / f) across the ray,
         # divided by the grazing factor |dz| / |dir|
-        norm2 = np.sum(dirs * dirs, axis=-1)[ground]
-        foot = (t_ground[ground] * norm2
-                / (cam.focal * np.maximum(np.abs(dz[ground]), 1e-9)))
-        img[ground] = _shade_ground(world, gx, gy, foot)
+        foot = (t * (dx * dx + dy * dy + dz * dz)
+                / (cam.focal * np.maximum(np.abs(dz), 1e-9)))
+        del t                   # not held while shading: a lower peak
+        img[r0:] = _shade_ground(world, gx.ravel(), gy.ravel(),
+                                 foot.ravel()).reshape(gx.shape)
 
-    t_best = t_ground
     for box in world.obstacles:
         lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
         hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])

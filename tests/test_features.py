@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from flownav import features
+from flownav import features, scene
 from flownav.errors import InvalidParameterError
 from flownav.imgproc import GrayImage
+from flownav.vehicle import VehicleState
 
 
 def checkerboard(h, w, cell):
@@ -106,3 +109,92 @@ class TestDetectCorners:
         tight = features.detect_corners(img, max_corners=1000, quality_level=0.5,
                                         min_distance=1)
         assert len(tight) <= len(loose)
+
+
+# ---------------------------------------------------------------------------
+# reference: the greedy suppression loop over numpy scalars
+# ---------------------------------------------------------------------------
+#
+# detect_corners runs its greedy loop over Python ints and floats. Every
+# comparison there is between integer-valued coordinates, so the picks and
+# the FeaturePoint fields must equal those of the numpy-scalar loop below,
+# a copy of the earlier detect_corners.
+
+
+def detect_corners_ref(img, max_corners=400, quality_level=0.005,
+                       min_distance=7, row_range=None):
+    m = features.BORDER_MARGIN
+    if row_range is not None:
+        lo, hi = max(row_range[0], 0), min(row_range[1], img.height)
+        y_off = max(lo - 5, 0)
+        sub = features.corner_response(GrayImage(img.data[y_off:hi + 5]))
+        resp = np.zeros((img.height, img.width))
+        resp[y_off:y_off + sub.shape[0]] = sub
+    else:
+        resp = features.corner_response(img)
+    mask = np.zeros_like(resp, dtype=bool)
+    mask[m:-m, m:-m] = True
+    if row_range is not None:
+        mask[:lo] = False
+        mask[hi:] = False
+    resp = np.where(mask, resp, 0.0)
+    max_score = resp.max()
+    if max_score <= 0.0:
+        return []
+    ys, xs = np.nonzero(resp >= quality_level * max_score)
+    scores = resp[ys, xs]
+    order = np.lexsort((xs, ys, -scores))
+    ys, xs, scores = ys[order], xs[order], scores[order]
+    pre = max(1, int(min_distance / math.sqrt(2.0)))
+    if pre > 1 and len(xs) > 1:
+        key = (ys // pre).astype(np.int64) * (img.width // pre + 2) + xs // pre
+        perm = np.argsort(key, kind="stable")
+        first = np.ones(len(perm), dtype=bool)
+        first[1:] = key[perm][1:] != key[perm][:-1]
+        keep = np.sort(perm[first])
+        ys, xs, scores = ys[keep], xs[keep], scores[keep]
+    cell = max(1, int(min_distance))
+    occupied = {}
+    picked = []
+    min_d2 = float(min_distance) ** 2
+    for x, y, s in zip(xs, ys, scores):
+        cx, cy = int(x) // cell, int(y) // cell
+        ok = True
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for px, py in occupied.get((nx, ny), ()):
+                    if (px - x) ** 2 + (py - y) ** 2 < min_d2:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            picked.append(features.FeaturePoint(float(x), float(y), float(s)))
+            occupied.setdefault((cx, cy), []).append((float(x), float(y)))
+            if len(picked) >= max_corners:
+                break
+    return picked
+
+
+@pytest.mark.parametrize("course,weather,s", [
+    ("straight-arc", "clear", 100.0),
+    ("straight-arc", "rain", 125.0),
+    ("obstacles", "clear", 60.0),       # the first box is 10 m ahead
+])
+def test_detect_corners_matches_numpy_scalar_loop(course, weather, s):
+    world = scene.make_course(course)
+    x, y, h = world.road.pose_at(s)
+    img = scene.degrade(scene.render(world, scene.CameraModel(),
+                                     VehicleState(x=x, y=y, psi=h + 0.05)),
+                        weather, seed=7)
+    for kwargs in ({"max_corners": 150, "quality_level": 0.002,
+                    "row_range": (0, 190)},
+                   {"max_corners": 400, "min_distance": 4},
+                   {"max_corners": 30, "min_distance": 11}):
+        got = features.detect_corners(img, **kwargs)
+        assert len(got) > 10
+        assert got == detect_corners_ref(img, **kwargs)
+        for p in got:
+            assert (type(p.x), type(p.y), type(p.score)) == (float, float, float)

@@ -228,10 +228,122 @@ class TestGroundTruthAndCourses:
 # oracle: render and degrade equal a straightforward full-frame reference
 # ---------------------------------------------------------------------------
 #
-# The renderer casts box rays only inside each box's screen-space window and
-# shades only the pixels a box wins; rain adds cached per-droplet patches.
-# Every step is per-pixel arithmetic, so the frames must equal, bit for bit,
-# the plain full-frame code below.
+# The renderer casts the ground as the slab of rows below the horizon,
+# evaluates noise octaves and lane lines only where they change a pixel,
+# casts box rays only inside each box's screen-space window and shades only
+# the pixels a box wins; rain adds cached per-droplet patches. Every step is
+# per-pixel arithmetic, so the frames must equal, bit for bit (sign bits
+# included), the plain full-frame code below.
+
+
+def _bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _ref_project(road, px, py):
+    """Every segment over every point, each result picked by np.where."""
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    best_dist = np.full(px.shape, np.inf)
+    best_s = np.zeros(px.shape)
+    best_d = np.zeros(px.shape)
+    for seg, (s0, x0, y0, h) in zip(road.segments, road._starts):
+        ch, sh = math.cos(h), math.sin(h)
+        dx = px - x0
+        dy = py - y0
+        if seg.kind == "straight":
+            s_loc = np.clip(ch * dx + sh * dy, 0.0, seg.length)
+            cx = x0 + s_loc * ch
+            cy = y0 + s_loc * sh
+            hh = np.full(px.shape, h)
+        else:
+            ccx = x0 - seg.radius * sh * seg.turn
+            ccy = y0 + seg.radius * ch * seg.turn
+            a0 = math.atan2(y0 - ccy, x0 - ccx)
+            ang = np.arctan2(py - ccy, px - ccx)
+            sweep = (ang - a0) * seg.turn
+            sweep = np.mod(sweep + math.pi, 2 * math.pi) - math.pi
+            s_loc = np.clip(sweep * seg.radius, 0.0, seg.length)
+            a = a0 + s_loc / seg.radius * seg.turn
+            cx = ccx + seg.radius * np.cos(a)
+            cy = ccy + seg.radius * np.sin(a)
+            hh = h + s_loc / seg.radius * seg.turn
+        ddx = px - cx
+        ddy = py - cy
+        dist = np.hypot(ddx, ddy)
+        lat = -np.sin(hh) * ddx + np.cos(hh) * ddy
+        closer = dist < best_dist
+        best_dist = np.where(closer, dist, best_dist)
+        best_s = np.where(closer, s0 + s_loc, best_s)
+        best_d = np.where(closer, lat, best_d)
+    return best_s, best_d
+
+
+def _ref_value_noise(u, v, seed, octaves=3, foot=None):
+    """Every octave over every sample, faded ones included."""
+    total = np.zeros(np.shape(u))
+    amp = 1.0
+    norm = 0.0
+    freq = 1.0
+    for o in range(octaves):
+        amp_eff = amp
+        if foot is not None:
+            cyc = freq * np.asarray(foot)
+            amp_eff = amp * np.clip((0.5 - cyc) / 0.25, 0.0, 1.0)
+        total = total + amp_eff * (scene._lattice_noise(np.asarray(u) * freq,
+                                                        np.asarray(v) * freq,
+                                                        seed + 101 * o) - 0.5)
+        norm += amp
+        amp *= 0.5
+        freq *= 2.0
+    return 0.5 + total / norm
+
+
+def _ref_lane_lines(half):
+    """(offset, half-width, dashed) of the five lane lines, in blend order."""
+    return ([(b, 0.15, False) for b in (-half, half)]
+            + [(b, 0.10, True) for b in (-scene.LANE_WIDTH, 0.0,
+                                         scene.LANE_WIDTH)])
+
+
+def _ref_shade_ground(world, gx, gy, foot):
+    """Road and verge noise, then each lane line blended over every sample."""
+    s, d = _ref_project(world.road, gx, gy)
+    seed = world.texture_seed
+    on_road = np.abs(d) <= world.road.width / 2.0
+    off_road = ~on_road
+    val = np.empty_like(s)
+    val[on_road] = 0.33 + 0.28 * _ref_value_noise(
+        s[on_road] * 1.7, d[on_road] * 1.7, seed, octaves=3,
+        foot=foot[on_road] * 1.7)
+    val[off_road] = 0.52 + 0.18 * _ref_value_noise(
+        s[off_road] * 1.3, d[off_road] * 1.3, seed + 7,
+        foot=foot[off_road] * 1.3)
+    aa = np.maximum(foot, 1e-6)
+    for b, hw, dashed in _ref_lane_lines(world.road.width / 2.0):
+        cov = np.clip((hw - np.abs(d - b)) / aa + 0.5, 0.0, 1.0)
+        if dashed:
+            cov = np.where(np.mod(s, 12.0) < 3.0, cov, 0.0)
+        val = val + (0.92 - val) * cov
+    return val
+
+
+def _ref_ground(cam, state):
+    """Per-pixel ground test and ground points: (origin, dirs, t_ground,
+    ground mask, gx, gy, foot)."""
+    origin, _, dirs = _camera_rays(cam, state)
+    dz = dirs[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = np.where(dz < -1e-9, -origin[2] / dz, np.inf)
+    ground = np.isfinite(t_ground)
+    gx = origin[0] + dirs[..., 0][ground] * t_ground[ground]
+    gy = origin[1] + dirs[..., 1][ground] * t_ground[ground]
+    norm2 = np.sum(dirs * dirs, axis=-1)[ground]
+    foot = (t_ground[ground] * norm2
+            / (cam.focal * np.maximum(np.abs(dz[ground]), 1e-9)))
+    return origin, dirs, t_ground, ground, gx, gy, foot
 
 
 def _ref_box_hits(box, origin, dirs, seed):
@@ -258,10 +370,11 @@ def _ref_box_hits(box, origin, dirs, seed):
     t = np.where(ok, t, np.inf)
     t_safe = np.where(np.isfinite(t), t, 0.0)
     hit = origin[None, None, :] + dirs * t_safe[..., None]
+    u = hit[..., 0] * 4.1 + hit[..., 2] * 2.3
+    v = hit[..., 1] * 4.1 + hit[..., 2] * 1.7
     shade = np.clip(box.intensity
-                    + 0.12 * (value_noise(hit[..., 0] * 4.1 + hit[..., 2] * 2.3,
-                                          hit[..., 1] * 4.1 + hit[..., 2] * 1.7,
-                                          seed + 31) - 0.5), 0.0, 1.0)
+                    + 0.12 * (_ref_value_noise(u, v, seed + 31) - 0.5),
+                    0.0, 1.0)
     return t, shade
 
 
@@ -275,13 +388,12 @@ def _camera_rays(cam, state):
 
 
 def _ref_render(world, cam, state):
-    """Ground-only frame, then every box composited over the full frame."""
-    bare = dataclasses.replace(world, obstacles=[])
-    img = render(bare, cam, state).data
-    origin, _, dirs = _camera_rays(cam, state)
-    dz = dirs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_best = np.where(dz < -1e-9, -origin[2] / dz, np.inf)
+    """Ground over the per-pixel ground mask, then every box composited over
+    the full frame."""
+    origin, dirs, t_ground, ground, gx, gy, foot = _ref_ground(cam, state)
+    img = np.full(ground.shape, scene.SKY_INTENSITY)
+    img[ground] = _ref_shade_ground(world, gx, gy, foot)
+    t_best = t_ground
     for box in world.obstacles:
         t_box, shade = _ref_box_hits(box, origin, dirs, world.texture_seed)
         closer = t_box < t_best
@@ -351,6 +463,90 @@ def test_render_matches_full_frame_reference(s, d, dh, case):
     if case in ("window", "straddle"):
         bare = render(dataclasses.replace(world, obstacles=[]), cam, state)
         assert not np.array_equal(bare.data, want)   # the box is drawn
+
+
+# (arclength, lateral offset, heading offset from the road, texture seed) on
+# the straight-arc course: the straight meets the arc at s = 120 m and the
+# road ends at 0 and 220 m; offsets of 6.5 m reach the solid edge lines
+# (7 m), offsets of 12 m stand on the verge
+GROUND_STATES = [
+    (110.0, 0.0, 0.0, 7),           # the switch 10 m ahead
+    (119.0, 6.5, 0.6, 3),
+    (119.0, -6.5, -0.6, 7),
+    (120.0, 12.0, 1.5, 7),          # looking back across the road
+    (120.0, -12.0, -1.5, 3),
+    (120.0, 0.0, math.pi, 7),       # looking back down the straight
+    (121.0, 6.5, -1.5, 7),
+    (121.0, -6.5, 1.5, 3),
+    (121.0, 12.0, -0.6, 3),
+    (121.0, -12.0, 0.6, 7),
+    (0.0, 0.0, math.pi, 3),         # the start, looking back past it
+    (0.0, 6.5, 0.6, 7),
+    (220.0, 0.0, 0.0, 7),           # the end, looking on past it
+    (220.0, -6.5, math.pi, 3),
+    (220.0, 12.0, -0.6, 3),
+]
+
+
+def _road_state(world, s, d, dh):
+    x, y, h = world.road.pose_at(s)
+    return VehicleState(x=x - math.sin(h) * d, y=y + math.cos(h) * d,
+                        psi=h + dh)
+
+
+@pytest.mark.parametrize("s,d,dh,seed", GROUND_STATES)
+def test_ground_matches_full_frame_reference(s, d, dh, seed):
+    world = make_course("straight-arc", seed=seed)
+    cam = CameraModel()
+    state = _road_state(world, s, d, dh)
+    assert _bit_equal(render(world, cam, state).data,
+                      _ref_render(world, cam, state))
+
+
+def test_ground_states_reach_sparse_paths():
+    """The states above include off-road samples with a live octave, on-road
+    samples past the fade of the top octave, and samples partly covered by a
+    lane line, so every subset path of the ground shading runs."""
+    cam = CameraModel()
+    off_live = on_faded = partial = False
+    for s, d, dh, seed in GROUND_STATES:
+        world = make_course("straight-arc", seed=seed)
+        *_, gx, gy, foot = _ref_ground(cam, _road_state(world, s, d, dh))
+        _, lat = _ref_project(world.road, gx, gy)
+        on_road = np.abs(lat) <= world.road.width / 2.0
+        off_live |= bool(np.any(~on_road & (foot * 1.3 < 0.5)))
+        on_faded |= bool(np.any(on_road & (foot * 1.7 * 4.0 >= 0.5)))
+        aa = np.maximum(foot, 1e-6)
+        for b, hw, _ in _ref_lane_lines(world.road.width / 2.0):
+            cov = np.clip((hw - np.abs(lat - b)) / aa + 0.5, 0.0, 1.0)
+            partial |= bool(np.any((cov > 0.0) & (cov < 1.0)))
+    assert off_live and on_faded and partial
+
+
+def test_project_matches_reference():
+    rng = np.random.default_rng(5)
+    # straight-arc: the arc's centre is (120, 200), so points with y > 200
+    # or x < 120 far from the road lie outside its 0.5 rad sweep
+    px = rng.uniform(-60.0, 360.0, 20000)
+    py = rng.uniform(-150.0, 450.0, 20000)
+    road = make_course("straight-arc").road
+    s, d = road.project(px, py)
+    s_ref, d_ref = _ref_project(road, px, py)
+    assert _bit_equal(s, s_ref) and _bit_equal(d, d_ref)
+    assert np.any(s == 0.0) and np.any(s == road.total_length)
+    # a straight with a nonzero heading, after a right-hand arc
+    bent = Road([RoadSegment("straight", 50.0),
+                 RoadSegment("arc", 60.0, radius=80.0, turn=-1),
+                 RoadSegment("straight", 40.0)])
+    for got, want in zip(bent.project(px / 3.0, py / 3.0),
+                         _ref_project(bent, px / 3.0, py / 3.0)):
+        assert _bit_equal(got, want)
+    # lists and 1-element arrays, as ground_truth and the benchmark's swing
+    # check pass them
+    for args in (([130.0], [2.0]), ([-5.0, 60.0, 250.0], [1.0, -3.0, 80.0]),
+                 (np.array([121.0]), np.array([-6.5]))):
+        for got, want in zip(road.project(*args), _ref_project(road, *args)):
+            assert _bit_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
