@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imgproc
 from .errors import InvalidParameterError
@@ -10,6 +11,7 @@ from .features import FeaturePoint
 
 PYRAMID_SIGMA = 1.0
 MIN_EIGEN = 1e-6
+_NEG_ZERO = np.float64(-0.0).view(np.int64)   # its bits, as an int64
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,32 @@ def _sample(data, xs, ys):
     return out.reshape(m, win * win)
 
 
+def _whole_pixel_corners(cx, cy, r):
+    """(rows, cols) of the top-left pixel of each window centred on (cx, cy),
+    or None unless every centre is a whole pixel."""
+    x0, y0 = cx.astype(np.intp), cy.astype(np.intp)
+    if not ((x0 == cx).all() and (y0 == cy).all()):
+        return None
+    return y0 - r, x0 - r
+
+
+def _patches(data, xs, ys, corners):
+    """Window samples of data exactly as _sample(data, xs, ys) gives them,
+    read straight from the pixels when the windows sit on whole pixels
+    (`corners`, see _whole_pixel_corners) and that is exact.
+
+    With zero fractions _sample blends (T*1 + T'*0)*1 + (...)*0, which is T
+    unless T is -0.0 (a +0.0 term makes it +0.0) or a neighbour it reads is
+    not finite (its zero weight makes a NaN); an image holding either is
+    sampled.
+    """
+    if (corners is not None and np.isfinite(data).all()
+            and not (data.view(np.int64) == _NEG_ZERO).any()):
+        m, win = xs.shape
+        return sliding_window_view(data, (win, win))[corners].reshape(m, win * win)
+    return _sample(data, xs, ys)
+
+
 def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
           frame_interval=1.0 / 60.0, prev_pyr=None, next_pyr=None):
     """Coarse-to-fine iterative LK solve for each feature point.
@@ -109,7 +137,9 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
     Sampling is separable in its coordinates: a window sample's x depends
     only on its column and its y only on its row, so coordinates, floors and
-    fractions are computed per window row and column (see _sample).
+    fractions are computed per window row and column (see _sample). At
+    level 0, windows centred on whole pixels (the forward call's corners)
+    are read straight from the pixels (see _patches).
     """
     if prev.width != next_.width or prev.height != next_.height:
         raise InvalidParameterError("frame dimensions differ")
@@ -155,9 +185,10 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
         sx = cx[idx, None] + offs[None, :]    # (m, win): x of each column
         sy = cy[idx, None] + offs[None, :]    # (m, win): y of each row
-        patch_p = _sample(data_p, sx, sy)     # (m, win*win)
-        patch_gx = _sample(gx, sx, sy)
-        patch_gy = _sample(gy, sx, sy)
+        # level 0 of the forward call holds whole-pixel corners
+        corners = _whole_pixel_corners(cx[idx], cy[idx], r) if lvl == 0 else None
+        patch_p, patch_gx, patch_gy = (        # (m, win*win)
+            _patches(a, sx, sy, corners) for a in (data_p, gx, gy))
 
         g11 = np.sum(patch_gx * patch_gx, axis=1)
         g12 = np.sum(patch_gx * patch_gy, axis=1)

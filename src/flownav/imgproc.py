@@ -2,15 +2,21 @@
 kernels, spatial gradients, Otsu thresholding and PGM file I/O.
 
 Intensities are kept as float64 in [0, 1] internally; 8-bit only touches the
-file boundary.
+file boundary. `convolve` is plain numpy and sums its products in the order
+of scipy.ndimage.convolve1d(mode="nearest"), so its outputs are bit-identical
+to that function's on float64 images.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateDistributionError, InvalidParameterError, PgmParseError
+
+
+_DBL_EPSILON = np.finfo(np.float64).eps
+# float64 elements in each of convolve's working buffers (128 kB)
+_CONVOLVE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -55,14 +61,90 @@ def gaussian_kernel(sigma, radius):
 
 
 def convolve(img, kernel, axis):
-    """1-D convolution along 'horizontal' or 'vertical', clamp-to-edge borders."""
+    """1-D convolution along 'horizontal' or 'vertical', clamp-to-edge borders.
+
+    Works in float64 whatever the input dtype and returns a C-contiguous
+    float64 GrayImage. Each output sums its products in the order of
+    scipy.ndimage.convolve1d(mode="nearest"), so the result is bit-identical
+    to it. With fw = kernel[::-1], r = len(fw) // 2 and x[j] the image
+    shifted by j along the axis (edge sample repeated):
+
+    - fw symmetric to DBL_EPSILON: x[0]*fw[r], then
+      += (x[j] + x[-j]) * fw[r+j] for j = -r..-1;
+    - fw antisymmetric to DBL_EPSILON: the same with (x[j] - x[-j]);
+    - otherwise: x[r]*fw[2r], then += x[j]*fw[r+j] for j = -r..r-1.
+    """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise InvalidParameterError("kernel must be 1-D with odd length")
     if axis not in ("horizontal", "vertical"):
         raise InvalidParameterError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     ax = 1 if axis == "horizontal" else 0
-    out = ndimage.convolve1d(img.data, kernel, axis=ax, mode="nearest")
+    data = np.asarray(img.data, dtype=np.float64)
+    fw = kernel[::-1]
+    r = fw.size // 2
+    h, w = data.shape
+    if ax and 2 * r > w:
+        # a padded row would hold more padding than pixels: run down the
+        # columns of the transpose instead
+        cols = convolve(GrayImage(data.T), kernel, "vertical").data
+        return GrayImage(np.ascontiguousarray(cols.T))
+
+    # scipy's tests: one |difference| above DBL_EPSILON breaks the symmetry
+    lo, hi = fw[:r], fw[:r:-1]           # fw[r+j] and fw[r-j], j = -r..-1
+    if not np.any(np.abs(hi - lo) > _DBL_EPSILON):
+        pair, taps = np.add, r
+    elif not np.any(np.abs(hi + lo) > _DBL_EPSILON):
+        pair, taps = np.subtract, r
+    else:
+        pair, taps = None, 2 * r
+
+    # The image is done in strips of rows. Each strip is copied, clamped,
+    # into a padded buffer whose flat views x[k] are the strip shifted by
+    # j = k - r, so every product and sum runs over one contiguous run and
+    # the temporaries stay small and are reused strip after strip. A
+    # horizontal strip's padded rows sit end to end: its run has 2r
+    # outputs between rows that straddle two rows and are dropped.
+    out = np.empty((h, w))
+    if ax:
+        step, span, halo = 1, w + 2 * r, 0
+    else:
+        step, span, halo = w, w, r
+    rows = max(1, min(_CONVOLVE_BLOCK // span, h))
+    src = np.empty((rows + 2 * halo, span))
+    acc = np.empty(rows * span) if ax else None
+    # products of several taps at once when a strip is small
+    block = max(1, min(_CONVOLVE_BLOCK // (rows * span), taps))
+    buf = np.empty((block, rows * span))
+    for a in range(0, h, rows):
+        b = min(a + rows, h)
+        m = b - a
+        s = src[:m + 2 * halo]
+        if ax:
+            s[:, r:r + w] = data[a:b]
+            s[:, :r] = data[a:b, :1]
+            s[:, r + w:] = data[a:b, w - 1:]
+            n = m * span - 2 * r
+            o = acc[:n]
+        else:
+            # mode="clip" clamps the rows past either edge to it
+            np.take(data, np.arange(a - r, b + r), axis=0, out=s, mode="clip")
+            n = m * w
+            o = out[a:b].reshape(n)
+        x = np.ndarray((2 * r + 1, n), np.float64, s, 0, (step * 8, 8))
+        np.multiply(x[taps], fw[taps], out=o)
+        for k0 in range(0, taps, block):
+            k1 = min(k0 + block, taps)
+            t = buf[:k1 - k0, :n]
+            if pair is None:
+                np.multiply(x[k0:k1], fw[k0:k1, None], out=t)
+            else:
+                pair(x[k0:k1], x[2 * r - k0:2 * r - k1:-1], out=t)
+                t *= fw[k0:k1, None]
+            for term in t:
+                o += term
+        if ax:
+            out[a:b] = acc[:m * span].reshape(m, span)[:, :w]
     return GrayImage(out)
 
 

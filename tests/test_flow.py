@@ -364,3 +364,69 @@ class TestTrackParity:
         pts = grid_points(self.W, self.H, margin=10, step=19)
         pts += [FeaturePoint(p.x + 0.37, p.y - 0.61) for p in pts[::3]]
         self.check(prev, next_, pts, window=window, levels=levels)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestWholePixelWindows:
+    """flow._patches reads windows centred on whole pixels straight from the
+    image, bit for bit as _sample blends them, and falls back to _sample
+    where the zero-fraction blend is not the pixel itself."""
+
+    R = 12
+
+    def windows(self, cx, cy):
+        offs = np.arange(-self.R, self.R + 1, dtype=np.float32)
+        cx = np.asarray(cx, dtype=np.float32)
+        cy = np.asarray(cy, dtype=np.float32)
+        return cx, cy, cx[:, None] + offs, cy[:, None] + offs
+
+    def direct(self, data, cx, cy):
+        """Each window's own pixels, row-major, with no blend at all."""
+        offs = np.arange(-self.R, self.R + 1)
+        rows = cy.astype(int)[:, None, None] + offs[:, None]
+        cols = cx.astype(int)[:, None, None] + offs
+        return data[rows, cols].reshape(len(cx), -1)
+
+    def image(self):
+        # signed values and +0.0 pixels, as in a gradient image
+        data = np.random.default_rng(21).uniform(-1, 1, (60, 80))
+        data[::3, ::4] = 0.0
+        return data
+
+    def test_clean_image_read_directly(self, monkeypatch):
+        data = self.image()
+        cx, cy, xs, ys = self.windows([12, 40, 67, 12], [12, 30, 47, 47])
+        corners = flow._whole_pixel_corners(cx, cy, self.R)
+        ref = flow._sample(data, xs, ys)
+        assert np.array_equal(bits(self.direct(data, cx, cy)), bits(ref))
+
+        def no_sample(*args):
+            raise AssertionError("sampled a clean image")
+        monkeypatch.setattr(flow, "_sample", no_sample)
+        assert np.array_equal(bits(flow._patches(data, xs, ys, corners)),
+                              bits(ref))
+
+    def test_fractional_centre_has_no_corners(self):
+        cx, cy, _, _ = self.windows([12, 40.5], [12, 30])
+        assert flow._whole_pixel_corners(cx, cy, self.R) is None
+
+    @pytest.mark.parametrize("bad", [-0.0, np.inf, -np.inf, np.nan])
+    def test_falls_back_where_direct_read_differs(self, bad):
+        data = self.image()
+        cx, cy, xs, ys = self.windows([20, 50], [20, 35])
+        if bad == 0:
+            # inside the first window, with a positive right neighbour: the
+            # blend adds +0.0 and returns +0.0
+            data[25, 30], data[25, 31] = bad, 0.5
+        else:
+            # one column right of the second window: only the blend reads it
+            data[35, 50 + self.R + 1] = bad
+        corners = flow._whole_pixel_corners(cx, cy, self.R)
+        with np.errstate(invalid="ignore"):     # inf * 0 in the blend
+            ref = flow._sample(data, xs, ys)
+            got = flow._patches(data, xs, ys, corners)
+        assert not np.array_equal(bits(self.direct(data, cx, cy)), bits(ref))
+        assert np.array_equal(bits(got), bits(ref))

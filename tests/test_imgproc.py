@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -120,6 +124,73 @@ class TestConvolve:
         out = imgproc.convolve(img, k, "horizontal")
         assert out.data.min() >= img.data.min() - 1e-12
         assert out.data.max() <= img.data.max() + 1e-12
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# the kernels convolve serves, plus the shapes of scipy's three summation
+# orders: antisymmetric, asymmetric, a single tap, and kernels symmetric
+# only to within DBL_EPSILON or just beyond it
+PARITY_KERNELS = {
+    "pyramid": imgproc.gaussian_kernel(1.0, 2),
+    "corner window": imgproc.gaussian_kernel(1.5, 2),
+    "obstacle x": imgproc.gaussian_kernel(20.0, 60),
+    "obstacle y": imgproc.gaussian_kernel(15.0, 45),
+    "central difference": np.array([1.0, 0.0, -1.0]),
+    "random 7-tap": np.random.default_rng(30).standard_normal(7),
+    "single tap": np.array([0.7]),
+    "symmetric to 1e-16": np.array([0.25, 0.5, 0.25 + 1e-16]),
+    "asymmetric by 3e-16": np.array([0.25, 0.5, 0.25 + 3e-16]),
+}
+PARITY_SHAPES = [(240, 320), (30, 40), (1, 5), (7, 1), (3, 3)]
+
+
+class TestConvolveScipyParity:
+    """convolve sums in scipy.ndimage.convolve1d's order: equal bits."""
+
+    @pytest.mark.parametrize("name", PARITY_KERNELS)
+    def test_bit_identical(self, name):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        k = PARITY_KERNELS[name]
+        rng = np.random.default_rng(31)
+        for shape in PARITY_SHAPES:
+            signed = rng.standard_normal(shape)
+            zeros = rng.random(shape)
+            zeros[rng.random(shape) < 0.3] = -0.0
+            zeros[rng.random(shape) < 0.3] = 0.0
+            for data in (signed, zeros):
+                for ax, axis in enumerate(("vertical", "horizontal")):
+                    out = imgproc.convolve(GrayImage(data), k, axis).data
+                    ref = ndimage.convolve1d(data, k, axis=ax, mode="nearest")
+                    assert out.dtype == np.float64 and out.flags.c_contiguous
+                    assert np.array_equal(bits(out), bits(ref)), (shape, axis)
+
+
+class TestConvolveDtypes:
+    @pytest.mark.parametrize("dtype", [np.uint8, bool])
+    def test_integer_and_bool_images_convolve_as_float64(self, dtype):
+        rng = np.random.default_rng(32)
+        data = (rng.integers(0, 256, (30, 40)) if dtype is np.uint8
+                else rng.random((30, 40)) < 0.2).astype(dtype)
+        for k in (imgproc.gaussian_kernel(1.0, 2), imgproc.gaussian_kernel(20.0, 60)):
+            for axis in ("horizontal", "vertical"):
+                out = imgproc.convolve(GrayImage(data), k, axis).data
+                ref = imgproc.convolve(GrayImage(data.astype(np.float64)), k, axis).data
+                assert out.dtype == np.float64
+                assert np.array_equal(bits(out), bits(ref))
+                assert out.any()
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imgproc.__file__)))
+    code = ("import sys, flownav.cli, flownav.pipeline, flownav.scene; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSpatialGradient:
