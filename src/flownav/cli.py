@@ -132,14 +132,13 @@ def cmd_flow(args):
         pass
     out = _outdir(args)
     lines = ["x,y,vx,vy,valid"]
-    for v in ff.vectors:
-        lines.append(f"{v.origin.x:.9g},{v.origin.y:.9g},"
-                     f"{v.vx:.9g},{v.vy:.9g},{int(v.valid)}")
+    for (x, y), (vx, vy), ok in zip(ff.pts.tolist(), ff.disp.tolist(),
+                                    ff.valid.tolist()):
+        lines.append(f"{x:.9g},{y:.9g},{vx:.9g},{vy:.9g},{int(ok)}")
     _write(os.path.join(out, "flow.csv"), "\n".join(lines) + "\n")
     _write(os.path.join(out, "flow.svg"),
            svgplot.flow_svg(ff, prev.width, prev.height, foe=foe))
-    n_valid = sum(1 for v in ff.vectors if v.valid)
-    print(f"tracked {n_valid}/{len(ff.vectors)} points", end="")
+    print(f"tracked {int(ff.valid.sum())}/{len(ff.pts)} points", end="")
     if foe is not None:
         print(f", FOE ({foe.x_foe:.1f}, {foe.y_foe:.1f})", end="")
     print()

@@ -18,16 +18,6 @@ class FoeEstimate:
     n_constraints: int
 
 
-@dataclass
-class TtcMap:
-    """Per-feature time-to-contact in seconds."""
-
-    entries: list  # (FeaturePoint, ttc_seconds)
-
-    def lookup(self):
-        return {(fp.x, fp.y): ttc for fp, ttc in self.entries}
-
-
 def estimate_foe(flow_field, min_speed=0.5):
     """Least-squares flow-line intersection.
 
@@ -38,11 +28,9 @@ def estimate_foe(flow_field, min_speed=0.5):
     the 2x2 normal equations are solved directly and the normal-matrix
     condition number is recorded.
     """
-    pts, vs = flow_field.valid_arrays()
-    if len(pts):
-        speed = np.hypot(vs[:, 0], vs[:, 1])
-        keep = speed >= min_speed
-        pts, vs = pts[keep], vs[keep]
+    pts, vs = flow_field.pts, flow_field.disp
+    keep = flow_field.valid & (np.hypot(vs[:, 0], vs[:, 1]) >= min_speed)
+    pts, vs = pts[keep], vs[keep]
     if len(pts) < MIN_CONSTRAINTS:
         raise InsufficientFlowError(
             f"need >= {MIN_CONSTRAINTS} flow vectors at |v| >= {min_speed}, got {len(pts)}")
@@ -61,27 +49,20 @@ def estimate_foe(flow_field, min_speed=0.5):
 
 
 def compute_ttc(flow_field, foe, exclusion_radius=10.0, ttc_max=100.0):
-    """TTC per point: distance to FOE over flow magnitude, in seconds.
+    """TTC per point of flow_field: distance to FOE over flow magnitude, in
+    seconds, clamped to ttc_max.
 
-    Points inside the exclusion radius (noisy flow near the FOE) and points
-    with zero flow are omitted; values clamp to ttc_max.
+    Returns an (N,) array aligned with the field; it holds NaN where there is
+    no TTC: invalid vectors, points inside the exclusion radius (noisy flow
+    near the FOE) and points with zero flow.
     """
-    entries = []
-    dt = flow_field.frame_interval
-    for vec in flow_field.vectors:
-        if not vec.valid:
-            continue
-        dx = vec.origin.x - foe.x_foe
-        dy = vec.origin.y - foe.y_foe
-        dist = np.hypot(dx, dy)
-        if dist <= exclusion_radius:
-            continue
-        mag = np.hypot(vec.vx, vec.vy)
-        if mag == 0.0:
-            continue
-        ttc = min(dist / mag * dt, ttc_max)
-        entries.append((vec.origin, float(ttc)))
-    return TtcMap(entries)
+    pts, vs = flow_field.pts, flow_field.disp
+    dist = np.hypot(pts[:, 0] - foe.x_foe, pts[:, 1] - foe.y_foe)
+    mag = np.hypot(vs[:, 0], vs[:, 1])
+    ok = flow_field.valid & (dist > exclusion_radius) & (mag != 0.0)
+    ttc = np.full(len(pts), np.nan)
+    ttc[ok] = np.minimum(dist[ok] / mag[ok] * flow_field.frame_interval, ttc_max)
+    return ttc
 
 
 class FoeSmoother:

@@ -1,7 +1,6 @@
 """Shi-Tomasi corner detection (min-eigenvalue response)."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,15 +11,6 @@ from .errors import InvalidParameterError
 WINDOW_SIGMA = 1.5
 WINDOW_RADIUS = 2
 BORDER_MARGIN = 3
-
-
-@dataclass(frozen=True)
-class FeaturePoint:
-    """Trackable image point with its min-eigenvalue corner score."""
-
-    x: float
-    y: float
-    score: float = 0.0
 
 
 def corner_response(img):
@@ -44,6 +34,8 @@ def corner_response(img):
 def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
                    row_range=None):
     """Select strong, well-separated corners, sorted by descending score.
+
+    Returns an (N, 2) float64 array of (x, y) pixel positions.
 
     row_range optionally limits detection to rows [lo, hi) — e.g. to skip a
     featureless sky band.
@@ -74,12 +66,11 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
 
     max_score = resp.max()
     if max_score <= 0.0:
-        return []
+        return np.empty((0, 2))
     ys, xs = np.nonzero(resp >= quality_level * max_score)
-    scores = resp[ys, xs]
     # deterministic ordering: score desc, then row/col
-    order = np.lexsort((xs, ys, -scores))
-    ys, xs, scores = ys[order], xs[order], scores[order]
+    order = np.lexsort((xs, ys, -resp[ys, xs]))
+    ys, xs = ys[order], xs[order]
 
     # prefilter: keep only the best candidate per cell of side
     # min_distance/sqrt(2) — any two points in such a cell conflict anyway,
@@ -91,15 +82,15 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
         first = np.ones(len(perm), dtype=bool)
         first[1:] = key[perm][1:] != key[perm][:-1]
         keep = np.sort(perm[first])
-        ys, xs, scores = ys[keep], xs[keep], scores[keep]
+        ys, xs = ys[keep], xs[keep]
 
-    # greedy NMS on a coarse occupancy grid, over Python ints and floats
-    # (numpy scalars would make each step of the loop several times slower)
+    # greedy NMS on a coarse occupancy grid, over Python ints (numpy
+    # scalars would make each step of the loop several times slower)
     cell = max(1, int(min_distance))
     occupied = {}
     picked = []
     min_d2 = float(min_distance) ** 2
-    for x, y, s in zip(xs.tolist(), ys.tolist(), scores.tolist()):
+    for x, y in zip(xs.tolist(), ys.tolist()):
         cx, cy = x // cell, y // cell
         ok = True
         for nx in (cx - 1, cx, cx + 1):
@@ -113,8 +104,8 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
             if not ok:
                 break
         if ok:
-            picked.append(FeaturePoint(float(x), float(y), s))
+            picked.append((x, y))
             occupied.setdefault((cx, cy), []).append((x, y))
             if len(picked) >= max_corners:
                 break
-    return picked
+    return np.array(picked, dtype=np.float64).reshape(-1, 2)

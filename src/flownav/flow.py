@@ -1,39 +1,36 @@
 """Pyramidal Lucas-Kanade sparse optical flow."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import imgproc
 from .errors import InvalidParameterError
-from .features import FeaturePoint
 
 PYRAMID_SIGMA = 1.0
 MIN_EIGEN = 1e-6
 _NEG_ZERO = np.float64(-0.0).view(np.int64)   # its bits, as an int64
 
 
-@dataclass(frozen=True)
-class FlowVector:
-    origin: FeaturePoint
-    vx: float
-    vy: float
-    valid: bool
-
-
 @dataclass
 class FlowField:
-    vectors: list
+    """Sparse flow over one frame pair: origins pts (N, 2) as (x, y),
+    displacements disp (N, 2) in px per pair and a valid (N,) flag each."""
+
+    pts: np.ndarray
+    disp: np.ndarray
+    valid: np.ndarray
     frame_interval: float = 1.0 / 60.0
 
-    def valid_arrays(self):
-        """(points Nx2, displacements Nx2) for the valid vectors."""
-        pts = np.array([[v.origin.x, v.origin.y] for v in self.vectors if v.valid],
-                       dtype=np.float64).reshape(-1, 2)
-        vs = np.array([[v.vx, v.vy] for v in self.vectors if v.valid],
-                      dtype=np.float64).reshape(-1, 2)
-        return pts, vs
+    @property
+    def vectors(self):
+        """Read-only record view with fields x, y, vx, vy and valid."""
+        rec = np.rec.fromarrays([self.pts[:, 0], self.pts[:, 1], self.disp[:, 0],
+                                 self.disp[:, 1], self.valid],
+                                names="x,y,vx,vy,valid")
+        rec.flags.writeable = False
+        return rec
 
 
 def build_pyramid(img, levels):
@@ -128,7 +125,8 @@ def _patches(data, xs, ys, corners):
 
 def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
           frame_interval=1.0 / 60.0, prev_pyr=None, next_pyr=None):
-    """Coarse-to-fine iterative LK solve for each feature point.
+    """Coarse-to-fine iterative LK solve for each of points, an (N, 2) array
+    of (x, y); returns a FlowField over them in the same order.
 
     Points whose window leaves the finest image, or whose normal matrix is
     near-singular, or that fail to converge, are marked invalid. Callers that
@@ -145,8 +143,11 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
         raise InvalidParameterError("frame dimensions differ")
     if window % 2 == 0:
         raise InvalidParameterError("window must be odd")
-    if not points:
-        return FlowField([], frame_interval)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = len(points)
+    if not n:
+        return FlowField(points, np.zeros((0, 2)), np.zeros(0, dtype=bool),
+                         frame_interval)
 
     pyr_prev = prev_pyr if prev_pyr is not None else build_pyramid(prev, levels)
     pyr_next = next_pyr if next_pyr is not None else build_pyramid(next_, levels)
@@ -155,9 +156,7 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
     r = window // 2
     offs = np.arange(-r, r + 1, dtype=np.float32)
 
-    n = len(points)
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
+    px, py = points[:, 0], points[:, 1]
     d = np.zeros((n, 2))                   # displacement, current-level units
     alive = np.ones(n, dtype=bool)         # conditioning ok so far
     converged = np.zeros(n, dtype=bool)
@@ -236,8 +235,4 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
                            & (ey - r >= 0) & (ey + r <= h - 1))
             converged[idx] = done & good & dest_inside
 
-    vectors = []
-    for i, p in enumerate(points):
-        ok = bool(alive[i] and converged[i])
-        vectors.append(FlowVector(p, float(d[i, 0]), float(d[i, 1]), ok))
-    return FlowField(vectors, frame_interval)
+    return FlowField(points, d, alive & converged, frame_interval)

@@ -34,21 +34,6 @@ class GrayImage:
         return self.data.shape[0]
 
 
-@dataclass
-class BinaryImage:
-    """Boolean raster, same layout as GrayImage."""
-
-    mask: np.ndarray  # shape (height, width), bool
-
-    @property
-    def width(self):
-        return self.mask.shape[1]
-
-    @property
-    def height(self):
-        return self.mask.shape[0]
-
-
 def gaussian_kernel(sigma, radius):
     """Normalized 1-D Gaussian taps; 2-D smoothing is two separable passes."""
     if not np.isfinite(sigma) or sigma <= 0:
@@ -286,6 +271,8 @@ def read_pgm(path):
 
     if raw.max(initial=0.0) > maxval:
         raise PgmParseError("sample exceeds maxval", pos)
+    if raw.min(initial=0.0) < 0:
+        raise PgmParseError("negative sample", pos)
     return GrayImage((raw / maxval).reshape(height, width))
 
 

@@ -5,7 +5,9 @@ moving forward: flow is radial about the FOE and its expansion rate grows
 with the row offset below the horizon (one parameter, fitted by consensus).
 Features whose radial flow overshoots that prediction sit closer than the
 ground at their row; an Otsu split over the overshoots flags them as
-obstacle-induced, and they are rasterized into a binary obstacle plane.
+obstacle-induced. The repulsive force smooths a binary plane of disks
+splatted around the flagged points (built by the caller, see _splat) and
+sums the TTC urgency of the points inside a region of interest.
 """
 
 from dataclasses import dataclass
@@ -14,19 +16,18 @@ import numpy as np
 
 from . import imgproc
 from .errors import DegenerateDistributionError
-from .imgproc import BinaryImage
 
 RESIDUAL_FLOOR = 1e-9
 
 
 @dataclass
 class ObstacleMask:
-    plane: BinaryImage
-    points: list  # (FeaturePoint, residual px/frame, ttc seconds)
+    """Flagged points: positions (K, 2) as (x, y), their TTC (K,) in seconds
+    and their indices (K,) into the flow field they came from."""
 
-    @property
-    def empty(self):
-        return not self.points
+    points: np.ndarray
+    ttc: np.ndarray
+    index: np.ndarray
 
 
 @dataclass
@@ -78,38 +79,31 @@ def ground_fit(pts, vs, foe):
 
 
 def _splat(width, height, points, radius):
-    plane = np.zeros((height, width), dtype=bool)
-    r = int(np.ceil(radius))
-    for fp, _res, _ttc in points:
-        x0 = max(int(fp.x) - r, 0)
-        x1 = min(int(fp.x) + r + 1, width)
-        y0 = max(int(fp.y) - r, 0)
-        y1 = min(int(fp.y) + r + 1, height)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        plane[y0:y1, x0:x1] |= (xs - fp.x) ** 2 + (ys - fp.y) ** 2 <= radius * radius
-    return plane
+    """width x height bool plane, True within radius of any (x, y) row of
+    points."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    d2 = ((xs - points[:, 0, None, None]) ** 2
+          + (ys - points[:, 1, None, None]) ** 2)
+    return (d2 <= radius * radius).any(axis=0)
 
 
-def segment_obstacles(flow_field, foe, ttc_map, splat_radius, width, height,
-                      min_residual=0.0, ttc_default=100.0):
+def segment_obstacles(flow_field, foe, ttc, min_residual=0.0, ttc_default=100.0):
     """Split obstacle-induced flow from the ground-plane expansion field.
 
     The residual of each valid vector is its radial overshoot over the
     ground_fit prediction; undershooting (stalled) tracks score 0. Points
-    above the Otsu split of the residuals are flagged, tagged with their
-    TTC (ttc_default when ttc_map has none) and splatted with splat_radius
-    into a width x height plane. min_residual gates the Otsu threshold: if
-    the split sits below it, the residual spread is treated as tracking
-    noise and the mask stays empty.
+    above the Otsu split of the residuals are flagged and tagged with their
+    TTC from ttc, the per-point array of egomotion.compute_ttc (ttc_default
+    where it holds NaN or ttc is None). min_residual gates the Otsu
+    threshold: if the split sits below it, the residual spread is treated as
+    tracking noise and the mask stays empty.
     """
-    pts, vs = flow_field.valid_arrays()
-    empty = ObstacleMask(BinaryImage(np.zeros((height, width), dtype=bool)), [])
-    if len(pts) == 0:
+    index = np.flatnonzero(flow_field.valid)
+    empty = ObstacleMask(np.empty((0, 2)), np.empty(0), index[:0])
+    if len(index) == 0:
         return empty
 
-    residual = ground_fit(pts, vs, foe)
+    residual = ground_fit(flow_field.pts[index], flow_field.disp[index], foe)
     if residual.max() < RESIDUAL_FLOOR:
         return empty
 
@@ -120,25 +114,19 @@ def segment_obstacles(flow_field, foe, ttc_map, splat_radius, width, height,
     if thr < min_residual:
         return empty
 
-    ttc_by_pos = ttc_map.lookup() if ttc_map is not None else {}
-    flagged = []
-    valid_vecs = [v for v in flow_field.vectors if v.valid]
-    for vec, res in zip(valid_vecs, residual):
-        if res > thr:
-            ttc = ttc_by_pos.get((vec.origin.x, vec.origin.y), ttc_default)
-            flagged.append((vec.origin, float(res), ttc))
-    if not flagged:
-        return empty
-    return ObstacleMask(BinaryImage(_splat(width, height, flagged, splat_radius)), flagged)
+    index = index[residual > thr]
+    t = np.full(len(index), np.nan) if ttc is None else ttc[index]
+    return ObstacleMask(flow_field.pts[index],
+                        np.where(np.isnan(t), ttc_default, t), index)
 
 
-def obstacle_gradient(mask, sigma=None, radius=None):
-    """Gradient of the Gaussian-smoothed obstacle plane.
+def obstacle_gradient(plane, sigma=None, radius=None):
+    """Gradient of the Gaussian-smoothed bool obstacle plane.
 
     Default sigma is half the plane width (x pass) and half the height
     (y pass). Returns (gx, gy) float fields.
     """
-    plane = mask.plane.mask.astype(np.float64)
+    plane = plane.astype(np.float64)
     h, w = plane.shape
     if not plane.any():
         return np.zeros((h, w)), np.zeros((h, w))
@@ -152,8 +140,10 @@ def obstacle_gradient(mask, sigma=None, radius=None):
     return imgproc.spatial_gradient(sm)
 
 
-def repulsive_force(mask, gradient, roi, gamma=1.0, ttc_min=0.5, raw_ttc=False):
-    """Aggregate the smoothed-plane gradient and TTC urgency over a ROI.
+def repulsive_force(points, ttc, gradient, roi, gamma=1.0, ttc_min=0.5,
+                    raw_ttc=False):
+    """Aggregate the smoothed-plane gradient and the TTC urgency of points
+    (K, 2) with TTCs ttc (K,) over a ROI.
 
     roi is (x0, y0, x1, y1), half-open. f_x > 0 means "steer toward +x"
     (image x grows rightward): the x-gradient sum is negated so the lateral
@@ -164,9 +154,11 @@ def repulsive_force(mask, gradient, roi, gamma=1.0, ttc_min=0.5, raw_ttc=False):
     area = max((x1 - x0) * (y1 - y0), 1)
     gx, _gy = gradient
     fx = -gamma / area * float(np.sum(gx[y0:y1, x0:x1]))
-    urgency = 0.0
-    for fp, _res, ttc in mask.points:
-        if x0 <= fp.x < x1 and y0 <= fp.y < y1:
-            urgency += ttc if raw_ttc else 1.0 / max(ttc, ttc_min)
+    x, y = points[:, 0], points[:, 1]
+    t = ttc[(x0 <= x) & (x < x1) & (y0 <= y) & (y < y1)]
+    if not raw_ttc:
+        t = 1.0 / np.maximum(t, ttc_min)
+    # summed left to right, in the order of points
+    urgency = float(np.cumsum(t)[-1]) if len(t) else 0.0
     fy = gamma / area * urgency
     return RepulsiveForce(fx, fy)

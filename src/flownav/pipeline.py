@@ -9,11 +9,11 @@ vision-guided run and the waypoint-PID baseline.
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import egomotion, features, flow, obstacle, potential, scene, vehicle
 from .errors import (DegenerateGeometryError, InsufficientFlowError,
                      InvalidParameterError, NoDirectionError)
-from .features import FeaturePoint
-from .imgproc import BinaryImage
 from .trace import TraceRow, summarize
 
 
@@ -119,9 +119,8 @@ class VisionState:
     def __init__(self, config, cam):
         self.config = config
         self.cam = cam
-        self.prev_img = None
         self.prev_pyr = None
-        self.prev_pts = []
+        self.prev_pts = np.empty((0, 2))
         self.smoother = egomotion.FoeSmoother(config.foe_smoothing)
         self.foe = egomotion.FoeEstimate(cam.cx, cam.cy + cam.focal
                                          * math.tan(cam.pitch), float("inf"), 0)
@@ -148,8 +147,8 @@ class VisionState:
         c = self.config
         ff = None
         pyr = flow.build_pyramid(img, c.levels)
-        if self.prev_img is not None and self.prev_pts:
-            ff = flow.track(self.prev_img, img, self.prev_pts,
+        if len(self.prev_pts):
+            ff = flow.track(self.prev_pyr[0], img, self.prev_pts,
                             window=c.window, epsilon=c.epsilon,
                             max_iters=c.max_iters, levels=c.levels,
                             frame_interval=pair_dt,
@@ -160,9 +159,8 @@ class VisionState:
                 self.foe = self.smoother.update(raw)
             except (InsufficientFlowError, DegenerateGeometryError):
                 pass  # hold the previous (smoothed) estimate
-            self._update_obstacle(self._derotate(ff, dpsi), ff, img, pyr)
+            self._update_obstacle(self._derotate(ff, dpsi), ff, pyr)
             self._update_latch(pair_dt)
-        self.prev_img = img
         self.prev_pyr = pyr
         self.prev_pts = detect_features(c, img)
         return ff
@@ -171,22 +169,16 @@ class VisionState:
         """Subtract the flow induced by a known yaw of dpsi radians.
 
         A leftward yaw shifts every feature rightward by roughly
-        dpsi * focal, with the usual perspective correction terms."""
+        dpsi * focal, with the usual perspective correction terms. Invalid
+        vectors keep their displacement."""
         if abs(dpsi) < 1e-6:
             return ff
         f = self.cam.focal
-        out = []
-        for v in ff.vectors:
-            if not v.valid:
-                out.append(v)
-                continue
-            xn = v.origin.x - self.cam.cx
-            yn = v.origin.y - self.cam.cy
-            out.append(flow.FlowVector(
-                v.origin,
-                v.vx - dpsi * (f + xn * xn / f),
-                v.vy - dpsi * xn * yn / f, True))
-        return flow.FlowField(out, ff.frame_interval)
+        xn = ff.pts[:, 0] - self.cam.cx
+        yn = ff.pts[:, 1] - self.cam.cy
+        rot = np.column_stack([dpsi * (f + xn * xn / f), dpsi * xn * yn / f])
+        disp = np.where(ff.valid[:, None], ff.disp - rot, ff.disp)
+        return flow.FlowField(ff.pts, disp, ff.valid, ff.frame_interval)
 
     def _trim_refit(self, ff, raw):
         """Drop the worst-aligned flow vectors and refit the FOE once.
@@ -195,74 +187,57 @@ class VisionState:
         far off; the refit on the best-aligned fraction is a cheap robust
         estimator."""
         c = self.config
-        keep = []
-        scored = []
-        for v in ff.vectors:
-            if not v.valid or math.hypot(v.vx, v.vy) < c.min_flow_speed:
-                continue
-            dx = v.origin.x - raw.x_foe
-            dy = v.origin.y - raw.y_foe
-            d = math.hypot(dx, dy)
-            if d < 1e-9:
-                continue
-            perp = abs(v.vx * dy - v.vy * dx) / d
-            scored.append((perp, v))
-        if len(scored) < 8:
+        vx, vy = ff.disp[:, 0], ff.disp[:, 1]
+        dx = ff.pts[:, 0] - raw.x_foe
+        dy = ff.pts[:, 1] - raw.y_foe
+        d = np.hypot(dx, dy)
+        idx = np.flatnonzero(ff.valid & (np.hypot(vx, vy) >= c.min_flow_speed)
+                             & (d >= 1e-9))
+        if len(idx) < 8:
             return raw
-        scored.sort(key=lambda t: t[0])
-        keep = [v for _, v in scored[:max(int(c.foe_trim * len(scored)), 8)]]
+        perp = np.abs(vx[idx] * dy[idx] - vy[idx] * dx[idx]) / d[idx]
+        # ascending perp, ties in field order: estimate_foe sums its normal
+        # equations in row order, so the order is part of the result
+        keep = idx[np.argsort(perp, kind="stable")]
+        keep = keep[:max(int(c.foe_trim * len(idx)), 8)]
         try:
             return egomotion.estimate_foe(
-                flow.FlowField(keep, ff.frame_interval),
+                flow.FlowField(ff.pts[keep], ff.disp[keep],
+                               np.ones(len(keep), dtype=bool), ff.frame_interval),
                 min_speed=c.min_flow_speed)
         except (InsufficientFlowError, DegenerateGeometryError):
             return raw
 
     def _cluster_filter(self, pts):
-        """Drop flagged points without min_cluster-1 neighbours nearby;
-        tracker glitches are isolated, real obstacles flag several corners."""
+        """Which of the flagged points pts (K, 2) have min_cluster-1
+        neighbours within cluster_radius; tracker glitches are isolated,
+        real obstacles flag several corners. Returns a (K,) bool array."""
         c = self.config
         if len(pts) < c.min_cluster:
-            return []
-        r2 = c.cluster_radius ** 2
-        kept = []
-        for i, (fp, res, t) in enumerate(pts):
-            n = sum(1 for j, (fq, _r, _t) in enumerate(pts)
-                    if j != i and (fp.x - fq.x) ** 2 + (fp.y - fq.y) ** 2 <= r2)
-            if n >= c.min_cluster - 1:
-                kept.append((fp, res, t))
-        return kept
+            return np.zeros(len(pts), dtype=bool)
+        near = ((pts[:, None, 0] - pts[None, :, 0]) ** 2
+                + (pts[:, None, 1] - pts[None, :, 1]) ** 2) <= c.cluster_radius ** 2
+        np.fill_diagonal(near, False)
+        return np.count_nonzero(near, axis=1) >= c.min_cluster - 1
 
-    def _fb_verify(self, kept, ff_raw, img, pyr):
-        """Keep flagged points whose track reverses cleanly.
+    def _fb_verify(self, index, ff_raw, pyr):
+        """Which of the flagged vectors index (into ff_raw, all valid) track
+        back to their origin within fb_tol. Returns a bool array.
 
         Repetitive texture (lane dashes) occasionally aliases the forward
         track to the wrong period with a plausible-looking flow; tracking
         the displaced point backward exposes the mismatch. Only the few
         flagged points are re-tracked, so this stays cheap."""
         c = self.config
-        raw = {(v.origin.x, v.origin.y): v for v in ff_raw.vectors if v.valid}
-        items = []
-        targets = []
-        for fp, res, t in kept:
-            v = raw.get((fp.x, fp.y))
-            if v is None:
-                continue
-            items.append(((fp, res, t), v))
-            targets.append(FeaturePoint(fp.x + v.vx, fp.y + v.vy))
-        if not targets:
-            return []
-        back = flow.track(img, self.prev_img, targets,
+        fwd = ff_raw.disp[index]
+        back = flow.track(pyr[0], self.prev_pyr[0], ff_raw.pts[index] + fwd,
                           window=c.window, epsilon=c.epsilon,
                           max_iters=c.max_iters, levels=c.levels,
                           prev_pyr=pyr, next_pyr=self.prev_pyr)
-        out = []
-        for (item, v), bv in zip(items, back.vectors):
-            if bv.valid and math.hypot(bv.vx + v.vx, bv.vy + v.vy) <= c.fb_tol:
-                out.append(item)
-        return out
+        loop = back.disp + fwd
+        return back.valid & (np.hypot(loop[:, 0], loop[:, 1]) <= c.fb_tol)
 
-    def _update_obstacle(self, ff, ff_raw, img, pyr):
+    def _update_obstacle(self, ff, ff_raw, pyr):
         c = self.config
         try:
             foe = egomotion.estimate_foe(ff, min_speed=c.min_flow_speed)
@@ -272,15 +247,15 @@ class VisionState:
         ttc = egomotion.compute_ttc(ff, foe,
                                     exclusion_radius=c.exclusion_radius,
                                     ttc_max=c.ttc_max)
-        mask = obstacle.segment_obstacles(
-            ff, foe, ttc, splat_radius=c.splat_radius,
-            width=self.cam.width, height=self.cam.height,
-            min_residual=c.min_residual)
-        points = mask.points
-        if points:
-            points = self._cluster_filter(
-                self._fb_verify(points, ff_raw, img, pyr))
-        if not points:
+        mask = obstacle.segment_obstacles(ff, foe, ttc,
+                                          min_residual=c.min_residual)
+        pts, ttc = mask.points, mask.ttc
+        if len(pts):
+            ok = self._fb_verify(mask.index, ff_raw, pyr)
+            pts, ttc = pts[ok], ttc[ok]
+            ok = self._cluster_filter(pts)
+            pts, ttc = pts[ok], ttc[ok]
+        if not len(pts):
             self.inst_sign = 0
             self.obs_fx *= c.obs_decay
             self.obs_fy *= c.obs_decay
@@ -288,13 +263,11 @@ class VisionState:
         d = c.obstacle_decim
         w_c = self.cam.width // d
         h_c = self.cam.height // d
-        pts_c = [(FeaturePoint(fp.x / d, fp.y / d), res, t)
-                 for fp, res, t in points]
+        pts_c = pts / d
         plane_c = obstacle._splat(w_c, h_c, pts_c, c.splat_radius / d)
-        mask_c = obstacle.ObstacleMask(BinaryImage(plane_c), pts_c)
-        grad_c = obstacle.obstacle_gradient(mask_c)
+        grad_c = obstacle.obstacle_gradient(plane_c)
         roi_c = (0, c.roi_top // d, w_c, h_c)
-        f = obstacle.repulsive_force(mask_c, grad_c, roi_c, gamma=c.gamma,
+        f = obstacle.repulsive_force(pts_c, ttc, grad_c, roi_c, gamma=c.gamma,
                                      ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
         self.inst_sign = 1 if f.f_x > 0 else (-1 if f.f_x < 0 else 0)
         a = c.obs_attack

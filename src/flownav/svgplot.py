@@ -15,11 +15,12 @@ def _fmt(v):
 def flow_svg(flow_field, width, height, foe=None, scale=3.0):
     """Flow arrows over the image footprint, with an optional FOE marker."""
     parts = [_header(width, height)]
-    for vec in flow_field.vectors:
-        x0, y0 = vec.origin.x, vec.origin.y
-        x1 = x0 + vec.vx * scale
-        y1 = y0 + vec.vy * scale
-        color = "#1f77b4" if vec.valid else "#cccccc"
+    for (x0, y0), (vx, vy), ok in zip(flow_field.pts.tolist(),
+                                      flow_field.disp.tolist(),
+                                      flow_field.valid.tolist()):
+        x1 = x0 + vx * scale
+        y1 = y0 + vy * scale
+        color = "#1f77b4" if ok else "#cccccc"
         parts.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" '
                      f'x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
                      f'stroke="{color}" stroke-width="0.8"/>\n')

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from flownav import cli, egomotion, features, flow, imgproc, pipeline, vehicle
-from flownav.flow import FlowField, FlowVector
-from flownav.features import FeaturePoint
+from flownav.flow import FlowField
 from flownav.imgproc import GrayImage
 from flownav.potential import Curvature, RoadFieldParams, road_force, road_potential
 from flownav.vehicle import (ControlCommand, VehicleParams, VehicleState,
@@ -64,7 +63,7 @@ def obstacle_run():
 # ---------------------------------------------------------------------------
 
 def _radial_field(foe_x, foe_y, n, k, rng, noise=0.0, w=320, h=240):
-    vectors = []
+    pts, disp = [], []
     for _ in range(n):
         x = rng.uniform(5.0, w - 5.0)
         y = rng.uniform(5.0, h - 5.0)
@@ -73,8 +72,9 @@ def _radial_field(foe_x, foe_y, n, k, rng, noise=0.0, w=320, h=240):
         if noise:
             vx *= 1.0 + noise * rng.standard_normal()
             vy *= 1.0 + noise * rng.standard_normal()
-        vectors.append(FlowVector(FeaturePoint(x, y), vx, vy, True))
-    return FlowField(vectors)
+        pts.append((x, y))
+        disp.append((vx, vy))
+    return FlowField(np.array(pts), np.array(disp), np.ones(n, dtype=bool))
 
 
 def test_1_foe_recovery():
@@ -124,11 +124,11 @@ def test_2_flow_endpoint_error():
         prev = GrayImage(base)
         for shift in (1, 2, 3, 4):
             next_ = GrayImage(np.roll(base, (shift, shift), axis=(0, 1)))
-            pts = [FeaturePoint(float(x), float(y))
+            pts = [(float(x), float(y))
                    for y in range(40, 121, 20) for x in range(40, 121, 20)]
             ff = flow.track(prev, next_, pts, window=25, epsilon=0.03,
                             max_iters=30, levels=3)
-            _, vs = ff.valid_arrays()
+            vs = ff.disp[ff.valid]
             assert len(vs) >= 20
             errors.append(np.mean(np.hypot(vs[:, 0] - shift, vs[:, 1] - shift)))
     elapsed = time.perf_counter() - t0

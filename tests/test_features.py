@@ -52,45 +52,46 @@ class TestDetectCorners:
         pts = features.detect_corners(img, max_corners=100, min_distance=4)
         # interior lattice points of an 8px board: 5x5 grid
         assert len(pts) >= 20
-        for p in pts[:10]:
-            assert p.x % 8 <= 2 or p.x % 8 >= 6
-            assert p.y % 8 <= 2 or p.y % 8 >= 6
+        for x, y in pts[:10]:
+            assert x % 8 <= 2 or x % 8 >= 6
+            assert y % 8 <= 2 or y % 8 >= 6
 
     def test_sorted_and_capped(self):
         img = GrayImage(checkerboard(64, 64, 8))
         pts = features.detect_corners(img, max_corners=7)
         assert len(pts) == 7
-        scores = [p.score for p in pts]
-        assert scores == sorted(scores, reverse=True)
+        resp = features.corner_response(img)
+        scores = resp[pts[:, 1].astype(int), pts[:, 0].astype(int)]
+        assert (np.diff(scores) <= 0).all()
 
     def test_min_distance_respected(self):
         img = GrayImage(checkerboard(64, 64, 8))
         pts = features.detect_corners(img, max_corners=200, min_distance=11)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                d = np.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y)
+                d = np.hypot(*(pts[i] - pts[j]))
                 assert d >= 11
 
     def test_blank_image_empty(self):
-        assert features.detect_corners(GrayImage(np.zeros((32, 32)))) == []
+        pts = features.detect_corners(GrayImage(np.zeros((32, 32))))
+        assert pts.shape == (0, 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         img = GrayImage(rng.random((40, 40)))
         a = features.detect_corners(img, max_corners=50)
         b = features.detect_corners(img, max_corners=50)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_row_range(self):
         img = GrayImage(checkerboard(64, 64, 8))
         pts = features.detect_corners(img, max_corners=200, row_range=(20, 40))
-        assert pts and all(20 <= p.y < 40 for p in pts)
+        assert len(pts) and ((20 <= pts[:, 1]) & (pts[:, 1] < 40)).all()
 
     def test_border_margin(self):
         img = GrayImage(checkerboard(64, 64, 8))
         pts = features.detect_corners(img, max_corners=400, min_distance=2)
-        for p in pts:
-            assert 3 <= p.x < 61 and 3 <= p.y < 61
+        assert ((3 <= pts) & (pts < 61)).all()
 
     def test_param_validation(self):
         img = GrayImage(np.zeros((32, 32)))
@@ -115,10 +116,10 @@ class TestDetectCorners:
 # reference: the greedy suppression loop over numpy scalars
 # ---------------------------------------------------------------------------
 #
-# detect_corners runs its greedy loop over Python ints and floats. Every
-# comparison there is between integer-valued coordinates, so the picks and
-# the FeaturePoint fields must equal those of the numpy-scalar loop below,
-# a copy of the earlier detect_corners.
+# detect_corners runs its greedy loop over Python ints. Every comparison
+# there is between integer-valued coordinates, so the picked positions must
+# equal those of the numpy-scalar loop below, a copy of the earlier
+# detect_corners.
 
 
 def detect_corners_ref(img, max_corners=400, quality_level=0.005,
@@ -140,7 +141,7 @@ def detect_corners_ref(img, max_corners=400, quality_level=0.005,
     resp = np.where(mask, resp, 0.0)
     max_score = resp.max()
     if max_score <= 0.0:
-        return []
+        return np.empty((0, 2))
     ys, xs = np.nonzero(resp >= quality_level * max_score)
     scores = resp[ys, xs]
     order = np.lexsort((xs, ys, -scores))
@@ -171,11 +172,11 @@ def detect_corners_ref(img, max_corners=400, quality_level=0.005,
             if not ok:
                 break
         if ok:
-            picked.append(features.FeaturePoint(float(x), float(y), float(s)))
+            picked.append((float(x), float(y)))
             occupied.setdefault((cx, cy), []).append((float(x), float(y)))
             if len(picked) >= max_corners:
                 break
-    return picked
+    return np.array(picked).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("course,weather,s", [
@@ -195,6 +196,5 @@ def test_detect_corners_matches_numpy_scalar_loop(course, weather, s):
                    {"max_corners": 30, "min_distance": 11}):
         got = features.detect_corners(img, **kwargs)
         assert len(got) > 10
-        assert got == detect_corners_ref(img, **kwargs)
-        for p in got:
-            assert (type(p.x), type(p.y), type(p.score)) == (float, float, float)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, detect_corners_ref(img, **kwargs))

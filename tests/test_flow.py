@@ -3,7 +3,6 @@ import pytest
 
 from flownav import flow, imgproc
 from flownav.errors import InvalidParameterError
-from flownav.features import FeaturePoint
 from flownav.imgproc import GrayImage
 
 
@@ -28,9 +27,8 @@ def shifted(img, dx, dy):
 
 
 def grid_points(w, h, margin=30, step=16):
-    return [FeaturePoint(float(x), float(y))
-            for y in range(margin, h - margin, step)
-            for x in range(margin, w - margin, step)]
+    return np.array([(x, y) for y in range(margin, h - margin, step)
+                     for x in range(margin, w - margin, step)], dtype=np.float64)
 
 
 class TestPyramid:
@@ -84,7 +82,7 @@ class TestTrack:
         img = GrayImage(textured(96, 96, 1))
         pts = grid_points(96, 96)
         ff = flow.track(img, img, pts, window=15, levels=2)
-        _, vs = ff.valid_arrays()
+        vs = ff.disp[ff.valid]
         assert len(vs) == len(pts)
         assert np.abs(vs).max() < 0.05
 
@@ -95,7 +93,7 @@ class TestTrack:
             next_ = GrayImage(shifted(base, dx, dy))
             pts = grid_points(128, 128)
             ff = flow.track(prev, next_, pts, window=21, levels=3)
-            _, vs = ff.valid_arrays()
+            vs = ff.disp[ff.valid]
             assert len(vs) >= len(pts) * 0.8
             err = np.hypot(vs[:, 0] - dx, vs[:, 1] - dy)
             assert np.median(err) < 0.25
@@ -109,7 +107,7 @@ class TestTrack:
         prev, next_ = render(0.0), render(1.5)
         pts = grid_points(96, 96, margin=24, step=12)
         ff = flow.track(prev, next_, pts, window=15, levels=2)
-        _, vs = ff.valid_arrays()
+        vs = ff.disp[ff.valid]
         assert len(vs) > 0
         assert np.abs(np.median(vs[:, 0]) - 1.5) < 0.1
         assert np.abs(np.median(vs[:, 1])) < 0.1
@@ -118,32 +116,44 @@ class TestTrack:
         img = np.full((64, 64), 0.5)
         img[0:20, 0:20] = textured(20, 20, 3)
         prev = GrayImage(img)
-        ff = flow.track(prev, prev, [FeaturePoint(48.0, 48.0)], window=11, levels=2)
-        assert not ff.vectors[0].valid
+        ff = flow.track(prev, prev, [(48.0, 48.0)], window=11, levels=2)
+        assert not ff.valid[0]
 
     def test_window_outside_invalid(self):
         img = GrayImage(textured(64, 64, 4))
-        ff = flow.track(img, img, [FeaturePoint(2.0, 2.0)], window=21, levels=2)
-        assert not ff.vectors[0].valid
+        ff = flow.track(img, img, [(2.0, 2.0)], window=21, levels=2)
+        assert not ff.valid[0]
 
     def test_origin_preserved_order(self):
         img = GrayImage(textured(64, 64, 5))
-        pts = [FeaturePoint(30.0, 30.0), FeaturePoint(40.0, 25.0)]
+        pts = np.array([(30.0, 30.0), (40.0, 25.0)])
         ff = flow.track(img, img, pts, window=11, levels=2)
-        assert [v.origin for v in ff.vectors] == pts
+        assert np.array_equal(ff.pts, pts)
 
     def test_bad_args(self):
         a = GrayImage(np.zeros((64, 64)))
         b = GrayImage(np.zeros((64, 32)))
         with pytest.raises(InvalidParameterError):
-            flow.track(a, b, [FeaturePoint(5, 5)])
+            flow.track(a, b, [(5, 5)])
         with pytest.raises(InvalidParameterError):
-            flow.track(a, a, [FeaturePoint(5, 5)], window=10)
+            flow.track(a, a, [(5, 5)], window=10)
 
     def test_empty_points(self):
         img = GrayImage(np.zeros((64, 64)))
         ff = flow.track(img, img, [])
-        assert ff.vectors == []
+        assert ff.pts.shape == ff.disp.shape == (0, 2)
+        assert ff.valid.shape == (0,) and len(ff.vectors) == 0
+
+    def test_vectors_view(self):
+        # the record view other tools read: one row per point, read-only
+        img = GrayImage(textured(64, 64, 5))
+        ff = flow.track(img, img, [(30.0, 30.0), (2.0, 2.0)], window=11, levels=2)
+        rec = ff.vectors
+        assert len(rec) == 2 and [bool(v.valid) for v in rec] == [True, False]
+        assert np.array_equal(rec.x, ff.pts[:, 0])
+        assert np.array_equal(rec.vy, ff.disp[:, 1])
+        with pytest.raises(ValueError):
+            rec.vx[0] = 1.0
 
     def test_frame_interval_passthrough(self):
         img = GrayImage(textured(64, 64, 6))
@@ -154,7 +164,7 @@ class TestTrack:
 # Reference: per-sample bilinear LK as written before sampling became
 # separable. Every coordinate, floor, fraction and flat index is computed
 # for each of the m * window**2 samples. flow.track must return exactly
-# the same FlowVectors.
+# the same displacements and valid flags.
 
 def bilinear_ref(data, xs, ys):
     h, w = data.shape
@@ -184,8 +194,8 @@ def track_ref(prev, next_, points, window=25, epsilon=0.03, max_iters=30,
     off_x = np.tile(offs, window)
     off_y = np.repeat(offs, window)
     n = len(points)
-    px = np.array([p.x for p in points])
-    py = np.array([p.y for p in points])
+    px = np.array([x for x, _ in points])
+    py = np.array([y for _, y in points])
     d = np.zeros((n, 2))
     alive = np.ones(n, dtype=bool)
     converged = np.zeros(n, dtype=bool)
@@ -246,9 +256,7 @@ def track_ref(prev, next_, points, window=25, epsilon=0.03, max_iters=30,
             dest_inside = ((ex - r >= 0) & (ex + r <= w - 1)
                            & (ey - r >= 0) & (ey + r <= h - 1))
             converged[idx] = done & good & dest_inside
-    return [flow.FlowVector(p, float(d[i, 0]), float(d[i, 1]),
-                            bool(alive[i] and converged[i]))
-            for i, p in enumerate(points)]
+    return d, alive & converged
 
 
 class TestSampleParity:
@@ -282,7 +290,7 @@ class TestSampleParity:
 
 
 class TestTrackParity:
-    """flow.track against track_ref: FlowVector lists compared with ==."""
+    """flow.track against track_ref, bit for bit."""
 
     H, W = 176, 256
 
@@ -291,28 +299,30 @@ class TestTrackParity:
         return GrayImage(base), GrayImage(shifted(base, dx, dy))
 
     def check(self, prev, next_, pts, **kw):
-        got = flow.track(prev, next_, pts, **kw).vectors
-        assert got == track_ref(prev, next_, pts, **kw)
+        got = flow.track(prev, next_, pts, **kw)
+        d, valid = track_ref(prev, next_, pts, **kw)
+        assert np.array_equal(bits(got.pts), bits(np.asarray(pts, dtype=float)))
+        assert np.array_equal(bits(got.disp), bits(d))
+        assert np.array_equal(got.valid, valid)
         return got
 
     def test_integer_corners(self):
         prev, next_ = self.pair(3, -2)
         pts = grid_points(self.W, self.H, margin=20, step=23)
         got = self.check(prev, next_, pts)
-        assert sum(v.valid for v in got) >= len(pts) * 0.8
+        assert got.valid.sum() >= len(pts) * 0.8
 
     def test_float_points_as_in_backward_call(self):
         prev, next_ = self.pair(-2, 1)
         fwd = flow.track(prev, next_, grid_points(self.W, self.H, step=29))
-        targets = [FeaturePoint(v.origin.x + v.vx, v.origin.y + v.vy)
-                   for v in fwd.vectors if v.valid]
-        assert any(p.x != int(p.x) for p in targets)
+        targets = (fwd.pts + fwd.disp)[fwd.valid]
+        assert (targets[:, 0] != targets[:, 0].astype(int)).any()
         got = self.check(next_, prev, targets)
-        assert all(v.valid for v in got)
+        assert got.valid.all()
 
     def test_windows_straddling_128(self):
         prev, next_ = self.pair(2, 2)
-        pts = [FeaturePoint(x, y) for x in (120.0, 127.6, 128.0, 133.3)
+        pts = [(x, y) for x in (120.0, 127.6, 128.0, 133.3)
                for y in (60.0, 121.5, 128.0, 134.7)]
         self.check(prev, next_, pts)
 
@@ -328,41 +338,40 @@ class TestTrackParity:
         # each point's window fits with 4 px to spare and moves 8 px toward
         # one edge: the displaced window samples clamped pixels there
         r = 12
-        cases = [((-8, 0), FeaturePoint(r + 4.0, 80.0)),
-                 ((8, 0), FeaturePoint(self.W - 1 - r - 4.0, 80.0)),
-                 ((0, -8), FeaturePoint(100.0, r + 4.0)),
-                 ((0, 8), FeaturePoint(100.0, self.H - 1 - r - 4.0))]
+        cases = [((-8, 0), (r + 4.0, 80.0)),
+                 ((8, 0), (self.W - 1 - r - 4.0, 80.0)),
+                 ((0, -8), (100.0, r + 4.0)),
+                 ((0, 8), (100.0, self.H - 1 - r - 4.0))]
         for (dx, dy), p in cases:
             got = self.check(self.waves(0, 0), self.waves(dx, dy),
-                             [p, FeaturePoint(120.0, 90.0)])
-            ex, ey = p.x + got[0].vx, p.y + got[0].vy
+                             [p, (120.0, 90.0)])
+            ex, ey = got.pts[0] + got.disp[0]
             assert not (r <= ex <= self.W - 1 - r and r <= ey <= self.H - 1 - r)
-            assert not got[0].valid and got[1].valid
+            assert not got.valid[0] and got.valid[1]
 
     def test_shift_leaving_the_frame(self):
         # waves moving 24 px right: points near the right edge follow them
         # out of the frame, where every sample is clamped
-        pts = [FeaturePoint(x, y) for x in (150.0, 200.0, 230.0)
+        pts = [(x, y) for x in (150.0, 200.0, 230.0)
                for y in (40.0, 90.0, 140.0)]
         got = self.check(self.waves(0, 0), self.waves(24, 0), pts)
-        assert [v.valid for v in got] == [True] * 6 + [False] * 3
-        assert all(v.origin.x + v.vx + 12 > self.W - 1 for v in got[6:])
+        assert got.valid.tolist() == [True] * 6 + [False] * 3
+        assert (got.pts[6:, 0] + got.disp[6:, 0] + 12 > self.W - 1).all()
 
     def test_flat_patch_rejected(self):
         img = np.full((self.H, self.W), 0.5)
         img[:, :100] = textured(self.H, 100, 12)
         prev = GrayImage(img)
         next_ = GrayImage(shifted(img, 1, 0))
-        got = self.check(prev, next_, [FeaturePoint(50.0, 80.0),
-                                       FeaturePoint(200.0, 80.0)])
-        assert got[0].valid and not got[1].valid
+        got = self.check(prev, next_, [(50.0, 80.0), (200.0, 80.0)])
+        assert got.valid.tolist() == [True, False]
 
     @pytest.mark.parametrize("window,levels", [(15, 2), (15, 3), (25, 2),
                                                (25, 3)])
     def test_window_and_levels(self, window, levels):
         prev, next_ = self.pair(-3, 2, seed=13)
         pts = grid_points(self.W, self.H, margin=10, step=19)
-        pts += [FeaturePoint(p.x + 0.37, p.y - 0.61) for p in pts[::3]]
+        pts = np.concatenate([pts, pts[::3] + (0.37, -0.61)])
         self.check(prev, next_, pts, window=window, levels=levels)
 
 

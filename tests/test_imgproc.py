@@ -292,6 +292,13 @@ class TestPgm:
         img = imgproc.read_pgm(p)
         assert np.allclose(img.data.ravel(), [0.0, 1.0])
 
+    def test_p2_negative_sample(self, tmp_path):
+        # int() parses "-5"; a sample below 0 would read outside [0, 1]
+        p = tmp_path / "d2.pgm"
+        p.write_bytes(b"P2\n2 1\n100\n-5 100\n")
+        with pytest.raises(PgmParseError, match="negative sample"):
+            imgproc.read_pgm(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "e.pgm"
         p.write_bytes(b"P5\n4 4\n255\n" + bytes(5))

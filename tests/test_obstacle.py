@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from flownav import obstacle
-from flownav.egomotion import FoeEstimate, TtcMap
-from flownav.features import FeaturePoint
-from flownav.flow import FlowField, FlowVector
-from flownav.imgproc import BinaryImage
+from flownav import egomotion, imgproc, obstacle
+from flownav.egomotion import FoeEstimate
+from flownav.errors import DegenerateDistributionError
+from flownav.flow import FlowField
+
+from test_egomotion import compute_ttc_ref, make_field as field_of
 
 
 FOE = FoeEstimate(160.0, 100.0, 1.0, 20)
@@ -33,84 +34,93 @@ def make_field(n_background, outliers, q=5e-4, seed=0):
     outliers: list of (x, y, vx, vy).
     """
     rng = np.random.default_rng(seed)
-    vectors = []
-    while len(vectors) < n_background:
+    rows = []
+    while len(rows) < n_background:
         x = rng.uniform(10, 310)
         y = rng.uniform(110, 230)
         if np.hypot(x - FOE.x_foe, y - FOE.y_foe) < 5:
             continue
-        vectors.append(FlowVector(FeaturePoint(x, y), *ground_flow(x, y, q),
-                                  True))
-    for x, y, vx, vy in outliers:
-        vectors.append(FlowVector(FeaturePoint(x, y), vx, vy, True))
-    return FlowField(vectors)
+        rows.append((x, y, *ground_flow(x, y, q), True))
+    rows += [(x, y, vx, vy, True) for x, y, vx, vy in outliers]
+    return field_of(rows)
+
+
+def positions(mask):
+    return set(map(tuple, mask.points.tolist()))
 
 
 class TestSegmentObstacles:
     def test_planted_outliers_flagged(self):
         outliers = [overshoot(80.0 + i, 180.0) for i in range(6)]
         ff = make_field(60, outliers)
-        mask = obstacle.segment_obstacles(ff, FOE, None, splat_radius=12,
-                                          width=320, height=240)
-        flagged = {(p.x, p.y) for p, _r, _t in mask.points}
+        mask = obstacle.segment_obstacles(ff, FOE, None)
+        flagged = positions(mask)
         for x, y, _vx, _vy in outliers:
             assert (x, y) in flagged
         # no more than a couple of background points misflagged
         assert len(mask.points) <= len(outliers) + 3
+        assert np.array_equal(ff.pts[mask.index], mask.points)
 
     def test_mask_covers_splat_disk(self):
         outliers = [overshoot(100.0, 150.0)]
         ff = make_field(60, outliers)
-        mask = obstacle.segment_obstacles(ff, FOE, None, splat_radius=12,
-                                          width=320, height=240)
-        m = mask.plane.mask
+        mask = obstacle.segment_obstacles(ff, FOE, None)
+        m = obstacle._splat(320, 240, mask.points, 12)
+        assert m.shape == (240, 320)
         assert m[150, 100] and m[150, 111] and m[161, 100]
         assert not m[150, 100 + 13]
 
     def test_pure_radial_field_empty(self):
         ff = make_field(60, [])
-        mask = obstacle.segment_obstacles(ff, FOE, None, splat_radius=12,
-                                          width=320, height=240)
-        assert mask.empty and not mask.plane.mask.any()
+        mask = obstacle.segment_obstacles(ff, FOE, None)
+        assert mask.points.shape == (0, 2)
+        assert len(mask.ttc) == len(mask.index) == 0
 
     def test_min_residual_gate(self):
         # small, noise-like residuals: gate should suppress the detection
         rng = np.random.default_rng(2)
         ff = make_field(60, [], seed=2)
-        vectors = [FlowVector(v.origin, v.vx + rng.normal(0, 0.05),
-                              v.vy + rng.normal(0, 0.05), True)
-                   for v in ff.vectors]
-        noisy = FlowField(vectors)
-        gated = obstacle.segment_obstacles(noisy, FOE, None, splat_radius=12,
-                                           width=320, height=240, min_residual=1.0)
-        assert gated.empty
+        noisy = FlowField(ff.pts, ff.disp + rng.normal(0, 0.05, ff.disp.shape),
+                          ff.valid)
+        gated = obstacle.segment_obstacles(noisy, FOE, None, min_residual=1.0)
+        assert len(gated.points) == 0
 
     def test_ttc_attached(self):
-        fp_ttc = TtcMap([(FeaturePoint(100.0, 150.0), 2.5)])
-        outliers = [overshoot(100.0, 150.0)]
+        outliers = [overshoot(100.0, 150.0), overshoot(101.0, 150.0)]
         ff = make_field(60, outliers)
-        mask = obstacle.segment_obstacles(ff, FOE, fp_ttc, splat_radius=12,
-                                          width=320, height=240)
-        by_pos = {(p.x, p.y): ttc for p, _r, ttc in mask.points}
+        ttc = np.full(len(ff.pts), np.nan)
+        ttc[60] = 2.5                     # the first outlier; the second has none
+        mask = obstacle.segment_obstacles(ff, FOE, ttc)
+        by_pos = dict(zip(map(tuple, mask.points.tolist()), mask.ttc.tolist()))
         assert by_pos[(100.0, 150.0)] == 2.5
+        assert by_pos[(101.0, 150.0)] == 100.0
 
     def test_empty_field(self):
-        mask = obstacle.segment_obstacles(FlowField([]), FOE, None, splat_radius=12,
-                                          width=320, height=240)
-        assert mask.empty
+        mask = obstacle.segment_obstacles(field_of([]), FOE, None)
+        assert len(mask.points) == 0
+
+    def test_invalid_vector_never_flagged(self):
+        # the same overshoots, once valid and once marked invalid: only the
+        # valid ones can be flagged, and every flag indexes a valid vector
+        outliers = [overshoot(80.0 + i, 180.0, gain=6.0) for i in range(6)]
+        ff = make_field(60, outliers + outliers)
+        valid = ff.valid.copy()
+        valid[66:] = False
+        ff = FlowField(ff.pts, ff.disp, valid)
+        mask = obstacle.segment_obstacles(ff, FOE, None)
+        assert set(range(60, 66)) <= set(mask.index.tolist())
+        assert ff.valid[mask.index].all() and (mask.index < 66).all()
 
 
 class TestObstacleGradient:
     def test_empty_mask_zero(self):
-        mask = obstacle.ObstacleMask(BinaryImage(np.zeros((40, 60), dtype=bool)), [])
-        gx, gy = obstacle.obstacle_gradient(mask)
+        gx, gy = obstacle.obstacle_gradient(np.zeros((40, 60), dtype=bool))
         assert gx.shape == (40, 60) and not gx.any() and not gy.any()
 
     def test_gradient_points_up_the_blob(self):
         plane = np.zeros((60, 80), dtype=bool)
         plane[25:35, 50:60] = True  # blob right of center
-        mask = obstacle.ObstacleMask(BinaryImage(plane), [(FeaturePoint(55, 30), 1.0, 1.0)])
-        gx, gy = obstacle.obstacle_gradient(mask, sigma=6.0, radius=18)
+        gx, gy = obstacle.obstacle_gradient(plane, sigma=6.0, radius=18)
         # left of the blob the smoothed field increases toward it: gx > 0
         assert gx[30, 42] > 0
         # right of the blob: gx < 0
@@ -123,9 +133,8 @@ class TestObstacleGradient:
         h = w = 81
         plane = np.zeros((h, w), dtype=bool)
         plane[40, 40] = True
-        mask = obstacle.ObstacleMask(BinaryImage(plane), [(FeaturePoint(40, 40), 1, 1)])
         sigma = 5.0
-        gx, _gy = obstacle.obstacle_gradient(mask, sigma=sigma, radius=20)
+        gx, _gy = obstacle.obstacle_gradient(plane, sigma=sigma, radius=20)
         xs = np.arange(w) - 40.0
         g1 = np.exp(-xs ** 2 / (2 * sigma ** 2))
         g1 /= g1.sum()
@@ -136,59 +145,165 @@ class TestObstacleGradient:
 
 
 class TestRepulsiveForce:
-    def _mask_with_blob(self, cx):
+    def _blob(self, cx):
+        """(plane, points, ttc) of one blob centred at column cx."""
         plane = np.zeros((120, 160), dtype=bool)
         plane[50:70, cx - 10:cx + 10] = True
-        pts = [(FeaturePoint(float(cx), 60.0), 2.0, 2.0)]
-        return obstacle.ObstacleMask(BinaryImage(plane), pts)
+        return plane, np.array([[float(cx), 60.0]]), np.array([2.0])
+
+    def force(self, cx, roi=(0, 0, 160, 120), **kw):
+        plane, pts, ttc = self._blob(cx)
+        grad = obstacle.obstacle_gradient(plane, sigma=20.0, radius=60)
+        return obstacle.repulsive_force(pts, ttc, grad, roi, **kw)
 
     def test_left_obstacle_pushes_right(self):
-        mask = self._mask_with_blob(40)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        f = obstacle.repulsive_force(mask, grad, roi=(0, 0, 160, 120))
+        f = self.force(40)
         assert f.f_x > 0
         assert f.f_y > 0
 
     def test_right_obstacle_pushes_left(self):
-        mask = self._mask_with_blob(120)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        f = obstacle.repulsive_force(mask, grad, roi=(0, 0, 160, 120))
+        f = self.force(120)
         assert f.f_x < 0
 
     def test_urgency_inverse_ttc(self):
-        mask = self._mask_with_blob(80)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        roi = (0, 0, 160, 120)
         area = 160 * 120
-        f = obstacle.repulsive_force(mask, grad, roi, gamma=3.0, ttc_min=0.5)
+        f = self.force(80, gamma=3.0, ttc_min=0.5)
         assert f.f_y == pytest.approx(3.0 / area * (1.0 / 2.0))
 
     def test_raw_ttc_mode(self):
-        mask = self._mask_with_blob(80)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        roi = (0, 0, 160, 120)
-        f = obstacle.repulsive_force(mask, grad, roi, gamma=1.0, raw_ttc=True)
+        f = self.force(80, gamma=1.0, raw_ttc=True)
         assert f.f_y == pytest.approx(2.0 / (160 * 120))
 
     def test_ttc_floor(self):
         plane = np.zeros((120, 160), dtype=bool)
         plane[60, 80] = True
-        mask = obstacle.ObstacleMask(BinaryImage(plane),
-                                     [(FeaturePoint(80.0, 60.0), 1.0, 0.01)])
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        f = obstacle.repulsive_force(mask, grad, (0, 0, 160, 120), ttc_min=0.5)
+        grad = obstacle.obstacle_gradient(plane, sigma=20.0, radius=60)
+        f = obstacle.repulsive_force(np.array([[80.0, 60.0]]), np.array([0.01]),
+                                     grad, (0, 0, 160, 120), ttc_min=0.5)
         assert f.f_y == pytest.approx(1.0 / 0.5 / (160 * 120))
 
     def test_roi_excludes_points(self):
-        mask = self._mask_with_blob(40)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        f = obstacle.repulsive_force(mask, grad, roi=(100, 0, 160, 120))
+        f = self.force(40, roi=(100, 0, 160, 120))
         assert f.f_y == 0.0
 
     def test_gamma_scales_linearly(self):
-        mask = self._mask_with_blob(40)
-        grad = obstacle.obstacle_gradient(mask, sigma=20.0, radius=60)
-        f1 = obstacle.repulsive_force(mask, grad, (0, 0, 160, 120), gamma=1.0)
-        f2 = obstacle.repulsive_force(mask, grad, (0, 0, 160, 120), gamma=2.5)
+        f1 = self.force(40, gamma=1.0)
+        f2 = self.force(40, gamma=2.5)
         assert f2.f_x == pytest.approx(2.5 * f1.f_x)
         assert f2.f_y == pytest.approx(2.5 * f1.f_y)
+
+
+# ---------------------------------------------------------------------------
+# references: the loops over (point, residual, ttc) tuples that
+# segment_obstacles and repulsive_force ran before they took arrays
+# ---------------------------------------------------------------------------
+
+def flag_ref(ff, foe, ttc_entries, min_residual=0.0, ttc_default=100.0):
+    """Flagged (x, y, ttc) in field order; ttc_entries maps a position to
+    its TTC, as the position-keyed lookup did."""
+    vecs = [(x, y, vx, vy) for x, y, vx, vy, ok
+            in zip(*ff.pts.T.tolist(), *ff.disp.T.tolist(), ff.valid.tolist())
+            if ok]
+    if not vecs:
+        return []
+    a = np.array(vecs)
+    residual = obstacle.ground_fit(a[:, :2], a[:, 2:], foe)
+    if residual.max() < obstacle.RESIDUAL_FLOOR:
+        return []
+    try:
+        thr = imgproc.otsu_threshold(residual, bins=256)
+    except DegenerateDistributionError:
+        return []
+    if thr < min_residual:
+        return []
+    flagged = []
+    for (x, y, _vx, _vy), res in zip(vecs, residual):
+        if res > thr:
+            flagged.append((x, y, ttc_entries.get((x, y), ttc_default)))
+    return flagged
+
+
+def urgency_ref(points, ttc, roi, ttc_min=0.5, raw_ttc=False):
+    x0, y0, x1, y1 = roi
+    urgency = 0.0
+    for (x, y), t in zip(points.tolist(), ttc.tolist()):
+        if x0 <= x < x1 and y0 <= y < y1:
+            urgency += t if raw_ttc else 1.0 / max(t, ttc_min)
+    return urgency
+
+
+def splat_ref(width, height, points, radius):
+    plane = np.zeros((height, width), dtype=bool)
+    r = int(np.ceil(radius))
+    for x, y in points.tolist():
+        x0 = max(int(x) - r, 0)
+        x1 = min(int(x) + r + 1, width)
+        y0 = max(int(y) - r, 0)
+        y1 = min(int(y) + r + 1, height)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        ys, xs = np.mgrid[y0:y1, x0:x1]
+        plane[y0:y1, x0:x1] |= (xs - x) ** 2 + (ys - y) ** 2 <= radius * radius
+    return plane
+
+
+@pytest.mark.parametrize("radius", [1.5, 2.0, 2.5])
+def test_splat_matches_windowed_loop(radius):
+    # fractional centres inside the plane, near and beyond each edge
+    pts = np.random.default_rng(4).uniform(-4.0, 44.0, (30, 2))
+    pts[:4] = [(0.0, 0.0), (39.5, 29.5), (-1.7, 12.0), (20.0, 31.2)]
+    plane = obstacle._splat(40, 30, pts, radius)
+    assert np.array_equal(plane, splat_ref(40, 30, pts, radius))
+    assert np.array_equal(obstacle._splat(40, 30, pts[:0], radius),
+                          np.zeros((30, 40), dtype=bool))
+
+
+def parity_field():
+    """Ground flow with planted overshoots, some of them invalid, points
+    near the FOE (no TTC) and vectors below 0.5 px."""
+    outliers = [overshoot(60.0 + 7 * i, 150.0 + 3 * i, gain=2.0 + 0.3 * i)
+                for i in range(12)]
+    outliers += [(FOE.x_foe + 3.0, FOE.y_foe + 5.0 + i, 3.0, 5.0 + i)
+                 for i in range(3)]
+    ff = make_field(150, outliers, seed=9)
+    rng = np.random.default_rng(9)
+    valid = rng.random(len(ff.pts)) > 0.15
+    valid[-3:] = True
+    disp = ff.disp.copy()
+    disp[::11] *= 0.01
+    return FlowField(ff.pts, disp, valid, frame_interval=1 / 15)
+
+
+@pytest.mark.parametrize("ttc_max,min_residual", [(100.0, 0.0), (0.3, 0.0),
+                                                  (100.0, 0.2)])
+def test_flagging_matches_vector_loop(ttc_max, min_residual):
+    ff = parity_field()
+    ttc = egomotion.compute_ttc(ff, FOE, exclusion_radius=10.0, ttc_max=ttc_max)
+    entries = {tuple(ff.pts[i].tolist()): t for i, t in
+               compute_ttc_ref(ff, FOE, exclusion_radius=10.0,
+                               ttc_max=ttc_max).items()}
+    ref = flag_ref(ff, FOE, entries, min_residual=min_residual)
+    mask = obstacle.segment_obstacles(ff, FOE, ttc, min_residual=min_residual)
+    got = [(x, y, t) for (x, y), t in zip(mask.points.tolist(),
+                                          mask.ttc.tolist())]
+    assert len(ref) >= 8 and got == ref
+    assert np.array_equal(ff.pts[mask.index], mask.points)
+    # some flags have no TTC and take the 100 s default whatever ttc_max is
+    assert 100.0 in mask.ttc.tolist() and ttc_max in mask.ttc.tolist()
+
+
+@pytest.mark.parametrize("raw_ttc", [False, True])
+def test_urgency_matches_sequential_loop(raw_ttc):
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(0, 40, (40, 2))
+    ttc = np.exp(rng.uniform(np.log(0.3), np.log(50), 40))
+    roi = (0, 12, 40, 30)
+    grad = (np.zeros((30, 40)), np.zeros((30, 40)))
+    f = obstacle.repulsive_force(pts, ttc, grad, roi, gamma=1.0, raw_ttc=raw_ttc)
+    ref = urgency_ref(pts, ttc, roi, raw_ttc=raw_ttc)
+    area = (40 - 0) * (30 - 12)
+    assert f.f_y == 1.0 / area * ref
+    # a pairwise sum of the same terms rounds differently on this data
+    inside = (pts[:, 1] >= 12) & (pts[:, 1] < 30)
+    terms = ttc[inside] if raw_ttc else 1.0 / np.maximum(ttc[inside], 0.5)
+    assert len(terms) >= 8 and float(np.sum(terms)) != ref

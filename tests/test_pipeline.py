@@ -1,17 +1,23 @@
-"""Direct tests of VisionState's obstacle state machine and its two flag
-filters: the latch/confirm/gap/refractory machine, the forward-backward
-check (Kalal et al., Forward-Backward Error, ICPR 2010) and the cluster
-filter."""
+"""Direct tests of VisionState's obstacle state machine, its two flag
+filters and its flow-field steps: the latch/confirm/gap/refractory machine,
+the forward-backward check (Kalal et al., Forward-Backward Error, ICPR 2010),
+the cluster filter, the derotation and the trimmed FOE refit. The array
+code of the last four is checked bit for bit against the loops over
+per-vector tuples it replaced."""
+
+import math
 
 import numpy as np
 import pytest
 
-from flownav import flow, scene
-from flownav.features import FeaturePoint
+from flownav import egomotion, flow, scene
+from flownav.errors import DegenerateGeometryError, InsufficientFlowError
+from flownav.flow import FlowField
 from flownav.imgproc import GrayImage
 from flownav.pipeline import PipelineConfig, VisionState
 
-from test_flow import shifted, textured
+from test_egomotion import make_field
+from test_flow import bits, grid_points, shifted, textured
 
 DT = 0.5          # frame-pair interval, s: obs_hold 4 s = 8 frames
 DETECT = 1e-3     # lateral force EMA well past the 1e-4 deadband
@@ -119,8 +125,9 @@ class TestUpdateLatch:
         assert vs.latch_left == 0 and vs.pend_count == 0
 
 
-def flagged(x, y):
-    return (FeaturePoint(x, y), 3.0, 2.0)
+def rows(ff):
+    """The field as (x, y, vx, vy, valid) tuples of Python scalars."""
+    return list(zip(*ff.pts.T.tolist(), *ff.disp.T.tolist(), ff.valid.tolist()))
 
 
 class TestFbVerify:
@@ -128,57 +135,208 @@ class TestFbVerify:
 
     @pytest.fixture
     def scene_pair(self):
-        """VisionState holding the previous frame and the next frame, which
-        is the previous one moved by SHIFT px."""
+        """VisionState holding the previous frame's pyramid, and the pyramid
+        of the next frame, which is the previous one moved by SHIFT px."""
         vs = vision()
         base = textured(128, 160, 21)
-        vs.prev_img = GrayImage(base)
-        vs.prev_pyr = flow.build_pyramid(vs.prev_img, vs.config.levels)
+        vs.prev_pyr = flow.build_pyramid(GrayImage(base), vs.config.levels)
         img = GrayImage(shifted(base, *self.SHIFT))
-        return vs, img, flow.build_pyramid(img, vs.config.levels)
-
-    def field(self, vectors):
-        return flow.FlowField([flow.FlowVector(FeaturePoint(x, y), vx, vy, ok)
-                               for x, y, vx, vy, ok in vectors])
+        return vs, flow.build_pyramid(img, vs.config.levels)
 
     def test_consistent_track_survives(self, scene_pair):
-        vs, img, pyr = scene_pair
+        vs, pyr = scene_pair
         dx, dy = self.SHIFT
-        kept = [flagged(60.0, 50.0), flagged(90.0, 70.0)]
-        ff = self.field([(60.0, 50.0, dx + 0.1, dy - 0.1, True),
+        ff = make_field([(60.0, 50.0, dx + 0.1, dy - 0.1, True),
                          (90.0, 70.0, dx, dy, True)])
-        assert vs._fb_verify(kept, ff, img, pyr) == kept
+        assert vs._fb_verify(np.array([0, 1]), ff, pyr).tolist() == [True, True]
 
     def test_corrupted_track_dropped(self, scene_pair):
-        vs, img, pyr = scene_pair
+        vs, pyr = scene_pair
         dx, dy = self.SHIFT
         tol = vs.config.fb_tol
-        kept = [flagged(60.0, 50.0), flagged(90.0, 70.0)]
-        ff = self.field([(60.0, 50.0, dx + 2 * tol, dy, True),
+        ff = make_field([(60.0, 50.0, dx + 2 * tol, dy, True),
                          (90.0, 70.0, dx, dy, True)])
-        assert vs._fb_verify(kept, ff, img, pyr) == kept[1:]
+        assert vs._fb_verify(np.array([0, 1]), ff, pyr).tolist() == [False, True]
 
-    def test_flag_without_valid_forward_track_dropped(self, scene_pair):
-        vs, img, pyr = scene_pair
+    def test_invalid_back_track_dropped(self, scene_pair):
+        # the first target's window leaves the frame, so its back track is
+        # invalid; its zero displacement would pass the tolerance alone
+        vs, pyr = scene_pair
         dx, dy = self.SHIFT
-        kept = [flagged(60.0, 50.0), flagged(90.0, 70.0)]
-        ff = self.field([(60.0, 50.0, dx, dy, False)])
-        assert vs._fb_verify(kept, ff, img, pyr) == []
+        ff = make_field([(10.0, 50.0, 0.5, 0.0, True),
+                         (90.0, 70.0, dx, dy, True)])
+        assert vs._fb_verify(np.array([0, 1]), ff, pyr).tolist() == [False, True]
+
+    def test_matches_position_keyed_pairing(self, scene_pair):
+        vs, pyr = scene_pair
+        fwd = flow.track(vs.prev_pyr[0], pyr[0], grid_points(160, 128, step=13))
+        rng = np.random.default_rng(4)
+        disp = fwd.disp + rng.choice([0.0, 0.0, 0.6, 1.2, 2.5], fwd.disp.shape)
+        ff = FlowField(fwd.pts, disp, fwd.valid)
+        index = np.flatnonzero(ff.valid)[::2]
+        got = vs._fb_verify(index, ff, pyr)
+        ref = fb_verify_ref(vs, ff.pts[index].tolist(), ff, pyr)
+        assert 0 < len(ref) < len(index)
+        assert ff.pts[index][got].tolist() == ref
+
+
+def fb_verify_ref(vs, flagged, ff_raw, pyr):
+    """_fb_verify as it paired flags with forward vectors by position."""
+    c = vs.config
+    raw = {(x, y): (vx, vy) for x, y, vx, vy, ok in rows(ff_raw) if ok}
+    items = []
+    targets = []
+    for x, y in flagged:
+        v = raw.get((x, y))
+        if v is None:
+            continue
+        items.append(([x, y], v))
+        targets.append((x + v[0], y + v[1]))
+    if not targets:
+        return []
+    back = flow.track(pyr[0], vs.prev_pyr[0], targets,
+                      window=c.window, epsilon=c.epsilon,
+                      max_iters=c.max_iters, levels=c.levels,
+                      prev_pyr=pyr, next_pyr=vs.prev_pyr)
+    out = []
+    for (item, v), (bvx, bvy), ok in zip(items, back.disp.tolist(),
+                                         back.valid.tolist()):
+        if ok and math.hypot(bvx + v[0], bvy + v[1]) <= c.fb_tol:
+            out.append(item)
+    return out
+
+
+def cluster_filter_ref(vs, pts):
+    c = vs.config
+    if len(pts) < c.min_cluster:
+        return []
+    r2 = c.cluster_radius ** 2
+    kept = []
+    for i, (px, py) in enumerate(pts):
+        n = sum(1 for j, (qx, qy) in enumerate(pts)
+                if j != i and (px - qx) ** 2 + (py - qy) ** 2 <= r2)
+        if n >= c.min_cluster - 1:
+            kept.append([px, py])
+    return kept
 
 
 class TestClusterFilter:
     def test_isolated_flag_dropped(self):
         vs = vision()
         r = vs.config.cluster_radius
-        pair = [flagged(100.0, 100.0), flagged(100.0 + r, 100.0)]
-        lone = flagged(100.0, 100.0 + r + 1.0)
-        assert vs._cluster_filter(pair + [lone]) == pair
-        assert vs._cluster_filter([lone]) == []
+        pts = np.array([(100.0, 100.0), (100.0 + r, 100.0),   # a pair
+                        (100.0, 100.0 + r + 1.0)])            # and a loner
+        assert vs._cluster_filter(pts).tolist() == [True, True, False]
+        assert vs._cluster_filter(pts[2:]).tolist() == [False]
 
     def test_min_cluster_above_point_count(self):
         vs = vision(min_cluster=4)
-        pts = [flagged(100.0, 100.0), flagged(105.0, 100.0),
-               flagged(100.0, 105.0)]
-        assert vs._cluster_filter(pts) == []
+        pts = np.array([(100.0, 100.0), (105.0, 100.0), (100.0, 105.0)])
+        assert not vs._cluster_filter(pts).any()
         vs = vision(min_cluster=3)
-        assert vs._cluster_filter(pts) == pts
+        assert vs._cluster_filter(pts).all()
+
+    @pytest.mark.parametrize("min_cluster", [1, 2, 3, 5])
+    def test_matches_pairwise_loop(self, min_cluster):
+        vs = vision(min_cluster=min_cluster)
+        rng = np.random.default_rng(min_cluster)
+        centres = rng.uniform(0, 320, (6, 2))
+        pts = np.concatenate([centres, centres[:4] + rng.normal(0, 30, (4, 2)),
+                              rng.uniform(0, 320, (8, 2)),
+                              [(10.0, 10.0), (70.0, 10.0)]])   # exactly r apart
+        got = pts[vs._cluster_filter(pts)].tolist()
+        ref = cluster_filter_ref(vs, pts.tolist())
+        assert got == ref and 0 < len(ref)
+
+
+def derotate_ref(vs, ff, dpsi):
+    if abs(dpsi) < 1e-6:
+        return ff.disp
+    f = vs.cam.focal
+    out = []
+    for x, y, vx, vy, ok in rows(ff):
+        if not ok:
+            out.append((vx, vy))
+            continue
+        xn = x - vs.cam.cx
+        yn = y - vs.cam.cy
+        out.append((vx - dpsi * (f + xn * xn / f), vy - dpsi * xn * yn / f))
+    return np.array(out).reshape(-1, 2)
+
+
+def trim_refit_ref(vs, ff, raw):
+    """_trim_refit over per-vector tuples, sorted with Python's stable
+    sort; the kept vectors reach estimate_foe in that order."""
+    c = vs.config
+    scored = []
+    for x, y, vx, vy, ok in rows(ff):
+        if not ok or math.hypot(vx, vy) < c.min_flow_speed:
+            continue
+        dx = x - raw.x_foe
+        dy = y - raw.y_foe
+        d = math.hypot(dx, dy)
+        if d < 1e-9:
+            continue
+        perp = abs(vx * dy - vy * dx) / d
+        scored.append((perp, (x, y, vx, vy)))
+    if len(scored) < 8:
+        return raw
+    scored.sort(key=lambda t: t[0])
+    keep = [v for _, v in scored[:max(int(c.foe_trim * len(scored)), 8)]]
+    a = np.array(keep)
+    try:
+        return egomotion.estimate_foe(
+            FlowField(a[:, :2], a[:, 2:], np.ones(len(a), dtype=bool)),
+            min_speed=c.min_flow_speed)
+    except (InsufficientFlowError, DegenerateGeometryError):
+        return raw
+
+
+def synthetic_field(seed, n=120):
+    """Noisy radial flow about (160, 100) at whole-pixel points, with invalid
+    vectors, vectors below 0.5 px (and one at exactly 0.5 px), a point on
+    the FOE and mirrored pairs whose perpendicular errors tie exactly."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.integers(5, 315, n), rng.integers(5, 235, n)])
+    pts = pts.astype(np.float64)
+    disp = (pts - (160.0, 100.0)) * 0.04 + rng.normal(0, 0.3, (n, 2))
+    valid = rng.random(n) > 0.1
+    disp[::9] *= 0.05                               # below min_flow_speed
+    disp[1] = (0.5, 0.0)                            # exactly at it
+    pts[2] = (160.0, 100.0)                         # on the FOE
+    # mirror the first half about x = 160 into the second: equal perps
+    half = n // 2
+    pts[half:, 0] = 320.0 - pts[:half, 0]
+    pts[half:, 1] = pts[:half, 1]
+    disp[half:] = disp[:half] * (-1, 1)
+    valid[half:] = valid[:half]
+    return FlowField(pts, disp, valid, frame_interval=1 / 15)
+
+
+class TestFieldSteps:
+    @pytest.mark.parametrize("dpsi", [0.0, 5e-7, 0.013, -0.021])
+    def test_derotate_matches_vector_loop(self, dpsi):
+        vs = vision()
+        ff = synthetic_field(1)
+        out = vs._derotate(ff, dpsi)
+        assert np.array_equal(bits(out.disp), bits(derotate_ref(vs, ff, dpsi)))
+        assert out.pts is ff.pts and out.valid is ff.valid
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("foe_trim", [0.7, 0.5])
+    def test_trim_refit_matches_vector_loop(self, seed, foe_trim):
+        vs = vision(foe_trim=foe_trim)
+        ff = synthetic_field(seed)
+        raw = egomotion.FoeEstimate(160.0, 100.0, 1.0, 0)
+        got = vs._trim_refit(ff, raw)
+        ref = trim_refit_ref(vs, ff, raw)
+        assert got is not raw and ref is not raw
+        assert (got.x_foe, got.y_foe, got.condition, got.n_constraints) == (
+            ref.x_foe, ref.y_foe, ref.condition, ref.n_constraints)
+
+    def test_trim_refit_too_few_vectors(self):
+        vs = vision()
+        ff = synthetic_field(0, n=16)
+        raw = egomotion.FoeEstimate(160.0, 100.0, 1.0, 0)
+        ff = FlowField(ff.pts, ff.disp, ff.valid & (np.arange(16) < 9))
+        assert vs._trim_refit(ff, raw) is raw is trim_refit_ref(vs, ff, raw)

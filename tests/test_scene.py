@@ -148,7 +148,7 @@ class TestRender:
         from flownav import flow
         pts = features.detect_corners(a, max_corners=150, row_range=(130, 238))
         ff = flow.track(a, b, pts, window=15, levels=2)
-        _, vs = ff.valid_arrays()
+        vs = ff.disp[ff.valid]
         assert len(vs) >= 20
         # dominant vertical motion should be downward (scene streams past)
         assert np.median(vs[:, 1]) > 0.05
