@@ -43,7 +43,6 @@ class PipelineConfig:
     exclusion_radius: float = 10.0
     ttc_max: float = 100.0
     # obstacle segmentation / repulsion
-    splat_radius: float = 12.0
     min_residual: float = 2.5
     cluster_radius: float = 60.0  # flagged points need a neighbour this close
     min_cluster: int = 2
@@ -52,8 +51,6 @@ class PipelineConfig:
     ttc_min: float = 0.5
     k_img: float = 1.5e8
     raw_ttc: bool = False
-    obstacle_decim: int = 8
-    roi_top: int = 100
     obs_attack: float = 0.5     # EMA weight pulling toward a fresh detection
     obs_decay: float = 0.9      # retention when no detection (hysteresis)
     obs_deadband: float = 1.0e-4  # soft threshold on the lateral force EMA
@@ -260,15 +257,12 @@ class VisionState:
             self.obs_fx *= c.obs_decay
             self.obs_fy *= c.obs_decay
             return
-        d = c.obstacle_decim
-        w_c = self.cam.width // d
-        h_c = self.cam.height // d
+        d = obstacle.DECIM
         pts_c = pts / d
-        plane_c = obstacle._splat(w_c, h_c, pts_c, c.splat_radius / d)
-        grad_c = obstacle.obstacle_gradient(plane_c)
-        roi_c = (0, c.roi_top // d, w_c, h_c)
-        f = obstacle.repulsive_force(pts_c, ttc, grad_c, roi_c, gamma=c.gamma,
-                                     ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
+        plane_c = obstacle._splat(self.cam.width // d, self.cam.height // d,
+                                  pts_c, obstacle.SPLAT_RADIUS / d)
+        f = obstacle.repulsive_force(pts_c, ttc, plane_c, obstacle.ROI_TOP // d,
+                                     gamma=c.gamma, ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
         self.inst_sign = 1 if f.f_x > 0 else (-1 if f.f_x < 0 else 0)
         a = c.obs_attack
         self.obs_fx = (1 - a) * self.obs_fx + a * f.f_x

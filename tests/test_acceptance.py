@@ -17,6 +17,7 @@ from flownav import cli, egomotion, features, flow, imgproc, pipeline, vehicle
 from flownav.flow import FlowField
 from flownav.imgproc import GrayImage
 from flownav.potential import Curvature, RoadFieldParams, road_force, road_potential
+from flownav.trace import read_trace
 from flownav.vehicle import (ControlCommand, VehicleParams, VehicleState,
                              rotational_manifold, slip_angle, steer_command,
                              step)
@@ -324,14 +325,21 @@ def test_9_euler_order():
 
 @pytest.mark.slow
 def test_10_determinism(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("course = straight\nmax_steps = 600\n")
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        rc = cli.main(["simulate", "--config", str(cfg), "--seed", "7",
-                       "--out", str(out)])
-        assert rc == 0
-        outs.append((out / "trace.csv").read_bytes())
-    assert outs[0] == outs[1]  # byte-identical traces
+    # 900 steps of the obstacles course latch an avoidance (from about step
+    # 750 at seed 7), so the second pair of runs passes through forced frames
+    runs = {"straight": 600, "obstacles": 900}
+    for course, steps in runs.items():
+        cfg = tmp_path / f"{course}.cfg"
+        cfg.write_text(f"course = {course}\nmax_steps = {steps}\n")
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / course / name
+            rc = cli.main(["simulate", "--config", str(cfg), "--seed", "7",
+                           "--out", str(out)])
+            assert rc == 0
+            outs.append((out / "trace.csv").read_bytes())
+        assert outs[0] == outs[1], course  # byte-identical traces
+    latch_fx = pipeline.PipelineConfig().obs_latch_fx
+    rows = read_trace(tmp_path / "obstacles" / "a" / "trace.csv")
+    assert any(abs(r.f_obs_x) == latch_fx for r in rows)
     _report("10 determinism")

@@ -130,9 +130,10 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-# the kernels convolve serves, plus the shapes of scipy's three summation
-# orders: antisymmetric, asymmetric, a single tap, and kernels symmetric
-# only to within DBL_EPSILON or just beyond it
+# the kernels convolve serves (the obstacle pair, longer than a 30 x 40
+# plane's axes, in test_obstacle.py's reference chain), plus the shapes of
+# scipy's three summation orders: antisymmetric, asymmetric, a single tap,
+# and kernels symmetric only to within DBL_EPSILON or just beyond it
 PARITY_KERNELS = {
     "pyramid": imgproc.gaussian_kernel(1.0, 2),
     "corner window": imgproc.gaussian_kernel(1.5, 2),

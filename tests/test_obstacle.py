@@ -112,36 +112,49 @@ class TestSegmentObstacles:
         assert ff.valid[mask.index].all() and (mask.index < 66).all()
 
 
-class TestObstacleGradient:
-    def test_empty_mask_zero(self):
-        gx, gy = obstacle.obstacle_gradient(np.zeros((40, 60), dtype=bool))
-        assert gx.shape == (40, 60) and not gx.any() and not gy.any()
+def random_planes(rng, shape, n):
+    """n bool planes of the given shape, densities from sparse to dense."""
+    return [rng.random(shape) < rng.uniform(0.005, 0.6) for _ in range(n)]
 
-    def test_gradient_points_up_the_blob(self):
-        plane = np.zeros((60, 80), dtype=bool)
-        plane[25:35, 50:60] = True  # blob right of center
-        gx, gy = obstacle.obstacle_gradient(plane, sigma=6.0, radius=18)
-        # left of the blob the smoothed field increases toward it: gx > 0
-        assert gx[30, 42] > 0
-        # right of the blob: gx < 0
-        assert gx[30, 68] < 0
-        assert gy[18, 55] > 0 and gy[42, 55] < 0
 
-    def test_matches_analytic_gaussian(self):
-        # single-pixel mask -> smoothed plane is a separable gaussian;
-        # gradient along x at y=center follows -x/sigma^2 * G(x)
-        h = w = 81
-        plane = np.zeros((h, w), dtype=bool)
-        plane[40, 40] = True
-        sigma = 5.0
-        gx, _gy = obstacle.obstacle_gradient(plane, sigma=sigma, radius=20)
-        xs = np.arange(w) - 40.0
-        g1 = np.exp(-xs ** 2 / (2 * sigma ** 2))
-        g1 /= g1.sum()
-        ref2d = np.outer(g1, g1)
-        ref_gx = np.gradient(ref2d, axis=1)
-        band = np.s_[38:43, 25:56]
-        assert np.abs(gx[band] - ref_gx[band]).max() < 1e-6
+class TestForceWeights:
+    SHAPES = [(30, 40, 12), (17, 23, 5)]    # production, and an odd one
+
+    @pytest.mark.parametrize("h,w,y0", SHAPES)
+    def test_matches_blur_gradient_chain(self, h, w, y0):
+        none = (np.empty((0, 2)), np.empty(0))
+        for plane in random_planes(np.random.default_rng(h), (h, w), 250):
+            f = obstacle.repulsive_force(*none, plane, y0, gamma=2.0)
+            ref = -2.0 / (w * (h - y0)) * gradient_sum_ref(plane, y0)
+            assert f.f_x == pytest.approx(ref, rel=1e-10, abs=1e-16)
+
+    @pytest.mark.parametrize("h,w,y0", SHAPES)
+    def test_empty_plane_zero(self, h, w, y0):
+        f = obstacle.repulsive_force(np.empty((0, 2)), np.empty(0),
+                                     np.zeros((h, w), dtype=bool), y0)
+        assert f.f_x == 0.0 and f.f_y == 0.0
+
+    @pytest.mark.parametrize("h,w,y0", SHAPES)
+    def test_mirrored_plane_negates(self, h, w, y0):
+        none = (np.empty((0, 2)), np.empty(0))
+        for plane in random_planes(np.random.default_rng(w), (h, w), 50):
+            f = obstacle.repulsive_force(*none, plane, y0).f_x
+            g = obstacle.repulsive_force(*none, plane[:, ::-1], y0).f_x
+            assert g == pytest.approx(-f, rel=1e-12, abs=1e-15)
+
+    def test_cached_read_only(self):
+        u, v = obstacle.force_weights(30, 40, 12)
+        again = obstacle.force_weights(30, 40, 12)
+        assert again[0] is u and again[1] is v
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+        assert obstacle.force_weights(30, 40, 0)[0][0] > u[0]
+
+    def test_border_columns_spike(self):
+        _u, v = obstacle.force_weights(30, 40, 12)
+        assert v[0] == pytest.approx(-0.496, abs=1e-3) and v[-1] == -v[0]
+        assert np.abs(v[1:-1]).max() < 0.017
+        assert np.all(np.diff(v[1:-1]) > 0)     # interior ramp
 
 
 class TestRepulsiveForce:
@@ -151,10 +164,9 @@ class TestRepulsiveForce:
         plane[50:70, cx - 10:cx + 10] = True
         return plane, np.array([[float(cx), 60.0]]), np.array([2.0])
 
-    def force(self, cx, roi=(0, 0, 160, 120), **kw):
+    def force(self, cx, y0=0, **kw):
         plane, pts, ttc = self._blob(cx)
-        grad = obstacle.obstacle_gradient(plane, sigma=20.0, radius=60)
-        return obstacle.repulsive_force(pts, ttc, grad, roi, **kw)
+        return obstacle.repulsive_force(pts, ttc, plane, y0, **kw)
 
     def test_left_obstacle_pushes_right(self):
         f = self.force(40)
@@ -177,14 +189,17 @@ class TestRepulsiveForce:
     def test_ttc_floor(self):
         plane = np.zeros((120, 160), dtype=bool)
         plane[60, 80] = True
-        grad = obstacle.obstacle_gradient(plane, sigma=20.0, radius=60)
         f = obstacle.repulsive_force(np.array([[80.0, 60.0]]), np.array([0.01]),
-                                     grad, (0, 0, 160, 120), ttc_min=0.5)
+                                     plane, 0, ttc_min=0.5)
         assert f.f_y == pytest.approx(1.0 / 0.5 / (160 * 120))
 
     def test_roi_excludes_points(self):
-        f = self.force(40, roi=(100, 0, 160, 120))
-        assert f.f_y == 0.0
+        # the point sits on row 60: rows from 61 down leave it out, rows
+        # from 60 down take it in, over an area of 160 x (120 - y0)
+        f = self.force(40, y0=61)
+        assert f.f_y == 0.0 and f.f_x > 0
+        f = self.force(40, y0=60)
+        assert f.f_y == pytest.approx(1.0 / 2.0 / (160 * 60))
 
     def test_gamma_scales_linearly(self):
         f1 = self.force(40, gamma=1.0)
@@ -195,8 +210,22 @@ class TestRepulsiveForce:
 
 # ---------------------------------------------------------------------------
 # references: the loops over (point, residual, ttc) tuples that
-# segment_obstacles and repulsive_force ran before they took arrays
+# segment_obstacles and repulsive_force ran before they took arrays, and the
+# blur-and-gradient chain the lateral force ran before its closed form
 # ---------------------------------------------------------------------------
+
+def gradient_sum_ref(plane, y0):
+    """Sum of the x-gradient over rows y0.. of the plane blurred with sigma
+    = half its width (x pass), then half its height (y pass)."""
+    h, w = plane.shape
+    sx, sy = w / 2.0, h / 2.0
+    rx, ry = min(int(np.ceil(3 * sx)), 2 * w), min(int(np.ceil(3 * sy)), 2 * h)
+    sm = imgproc.convolve(imgproc.GrayImage(plane.astype(np.float64)),
+                          imgproc.gaussian_kernel(sx, rx), "horizontal")
+    sm = imgproc.convolve(sm, imgproc.gaussian_kernel(sy, ry), "vertical")
+    gx, _gy = imgproc.spatial_gradient(sm)
+    return float(np.sum(gx[y0:]))
+
 
 def flag_ref(ff, foe, ttc_entries, min_residual=0.0, ttc_default=100.0):
     """Flagged (x, y, ttc) in field order; ttc_entries maps a position to
@@ -297,10 +326,9 @@ def test_urgency_matches_sequential_loop(raw_ttc):
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 40, (40, 2))
     ttc = np.exp(rng.uniform(np.log(0.3), np.log(50), 40))
-    roi = (0, 12, 40, 30)
-    grad = (np.zeros((30, 40)), np.zeros((30, 40)))
-    f = obstacle.repulsive_force(pts, ttc, grad, roi, gamma=1.0, raw_ttc=raw_ttc)
-    ref = urgency_ref(pts, ttc, roi, raw_ttc=raw_ttc)
+    plane = np.zeros((30, 40), dtype=bool)
+    f = obstacle.repulsive_force(pts, ttc, plane, 12, gamma=1.0, raw_ttc=raw_ttc)
+    ref = urgency_ref(pts, ttc, (0, 12, 40, 30), raw_ttc=raw_ttc)
     area = (40 - 0) * (30 - 12)
     assert f.f_y == 1.0 / area * ref
     # a pairwise sum of the same terms rounds differently on this data
