@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -17,6 +16,13 @@ from .errors import (AlignmentError, FlownavError, InsufficientFlowError,
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
+
+# A recording has no map: replay holds the vehicle at the center of a
+# straight lane along its first heading, with the goal on that line further
+# ahead than the goal gate and the speed taper reach.
+REPLAY_GOAL_DIST = 100.0  # m
+REPLAY_OBSERVATION = pipeline.Observation(lat_offset=0.0, h_road=0.0,
+                                          goal=(REPLAY_GOAL_DIST, 0.0))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,7 +203,8 @@ def cmd_replay(args):
     cam = scene.CameraModel()
     params = config.vehicle_params
     vision = pipeline.VisionState(config, cam)
-    # one fixed frame interval drives the dead reckoning and every LK pair
+    # one fixed frame interval drives the dead reckoning, every LK pair and
+    # every control step
     dt = controls[1][0] - controls[0][0]
     for row, (prev, cur) in enumerate(zip(controls, controls[1:]), start=2):
         step = cur[0] - prev[0]
@@ -211,9 +218,10 @@ def cmd_replay(args):
 
     # teacher-forced vehicle history: heading and speed are dead-reckoned
     # from the recorded controls, so each prediction sees the same state the
-    # recorded controller saw (up to the straight-lane-center assumption)
+    # recorded controller saw (up to the straight-lane assumption below)
     psi = 0.0
     v = params.v_d
+    psi_d = psi
     preds = []
     prev_delta = controls[0][2]
     for i, fname in enumerate(frames):
@@ -228,19 +236,12 @@ def cmd_replay(args):
         psi = vehicle.wrap_angle(psi + dpsi)
         v = max(0.0, v + a_rec * dt)
 
-        # a recording has no lane geometry: the road field is probed at the
-        # lane center
-        f_att = potential.ForceVector(math.cos(psi), math.sin(psi), "global")
-        _f_road, _f_tot, psi_d = pipeline.steer_to_field(
-            config, cam, vision.foe, f_att, vision.obstacle_force, 0.0, psi,
-            psi)
-        psi_dot = vehicle.yaw_rate(v, delta_rec, params)
-        s_r = vehicle.rotational_manifold(psi, psi_d, psi_dot, 0.0, params.c_r)
-        u_pred = vehicle.steer_command(s_r, params)
-        a_pred = vehicle.longitudinal_command(v, params.v_d, params)
-        delta_pred = prev_delta + u_pred * dt
-        preds.append((t_rec, a_pred, a_rec, delta_pred, delta_rec,
-                      u_pred, (delta_rec - prev_delta) / dt))
+        state = vehicle.VehicleState(0.0, 0.0, psi, v, delta_rec)
+        row, psi_d = pipeline.control_step(config, cam, vision, state, psi_d,
+                                           i - 1, dt, REPLAY_OBSERVATION)
+        delta_pred = prev_delta + row.u * dt
+        preds.append((t_rec, row.a, a_rec, delta_pred, delta_rec,
+                      row.u, (delta_rec - prev_delta) / dt))
         prev_delta = delta_rec
 
     out = _outdir(args)

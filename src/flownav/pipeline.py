@@ -1,9 +1,10 @@
 """Closed-loop pipeline: render -> flow -> FOE/TTC -> obstacle force ->
 potential field -> sliding-mode commands -> bicycle step.
 
-Owns the aggregated configuration for every stage, the field-to-steer step
-shared by the vision-guided run and replay, and the drive loop shared by the
-vision-guided run and the waypoint-PID baseline.
+Owns the aggregated configuration for every stage, the one control step
+that the vision-guided run calls and replay runs under a straight-lane
+`Observation`, and the drive loop shared by the vision-guided run and the
+waypoint-PID baseline.
 """
 
 import math
@@ -15,6 +16,12 @@ from . import egomotion, features, flow, obstacle, potential, scene, vehicle
 from .errors import (DegenerateGeometryError, InsufficientFlowError,
                      InvalidParameterError, NoDirectionError)
 from .trace import TraceRow, summarize
+
+OBS_GOAL_GATE = 25.0   # m to goal inside which repulsion is muted
+COMMIT_LAT_MAX = 1.0   # m; commit only while this close to lane center
+COMMIT_DEV_MAX = 0.15  # rad; ... and this aligned with the road
+TAPER_DIST = 10.0      # m to goal inside which the reference speed tapers
+PSI_D_DOT_MAX = 2.0    # rad/s; cap on the desired heading's rate
 
 
 @dataclass
@@ -54,28 +61,22 @@ class PipelineConfig:
     obs_attack: float = 0.5     # EMA weight pulling toward a fresh detection
     obs_decay: float = 0.9      # retention when no detection (hysteresis)
     obs_deadband: float = 1.0e-4  # soft threshold on the lateral force EMA
-    obs_goal_gate: float = 25.0   # m to goal inside which repulsion is muted
     obs_slow: float = 6000.0      # speed cut per unit of gated lateral force
     obs_confirm: int = 2          # same-sign gated detections to commit
     obs_gap_max: int = 2          # empty frames tolerated between them
     obs_hold: float = 4.0         # s; dwell of a committed avoidance
     obs_refract: float = 2.0      # s; no re-commit right after a dwell
     obs_latch_fx: float = 5.0e-5  # image-frame lateral force while committed
-    commit_lat_max: float = 1.0   # m; commit only while this close to lane center
-    commit_dev_max: float = 0.15  # rad; ... and this aligned with the road
     # potential field
     alpha: float = 0.05
     lambda_x: float = 4.0e-6
     lambda_y: float = 4.0e-6
-    center_band: float = 0.1
     lookahead: float = 5.0      # field longitudinal probe offset, m
     # control / simulation
     dt: float = 1.0 / 60.0
     max_steps: int = 4000
     goal_radius: float = 2.0
-    taper_dist: float = 10.0
     corridor_margin: float = 10.0
-    psi_d_dot_max: float = 2.0
     swerve_max: float = 0.6     # rad; heading clamp while an avoidance is on
     swerve_keep: float = 0.2    # rad; heading clamp during plain lane keeping
     swerve_damp: float = 1.0    # heading feedback on the lateral closure rate
@@ -328,29 +329,92 @@ class VisionState:
             return self.latch_dir * self.config.obs_latch_fx
         return self.gated_fx
 
-    @property
-    def obstacle_force(self):
-        return obstacle.RepulsiveForce(self.obs_fx, self.obs_fy)
+
+@dataclass(frozen=True)
+class Observation:
+    """The control step's reads of anything but the camera: the lateral
+    offset from the lane center (m, map), the road tangent's heading (rad,
+    map) and the goal position (GPS)."""
+
+    lat_offset: float
+    h_road: float
+    goal: tuple
 
 
-def steer_to_field(config, cam, foe, f_att, f_obs, d_lat, psi, fallback):
-    """Field-to-steer step: road curvature from the FOE, the road field probed
-    at lateral offset d_lat, the total force and its heading (fallback when
-    the force vanishes). Returns (f_road, f_tot, psi_d)."""
+def control_step(config, cam, vision, state, psi_d_prev, k, dt, obs):
+    """Step k, of length dt, of the sliding-mode controller on the visual
+    potential field; obs holds every read that is not the camera's. Sets
+    vision.commit_ok. Returns (TraceRow with a NaN clearance, psi_d)."""
+    params = config.vehicle_params
     road_params = config.road_field
-    curvature = potential.classify_curvature(foe, cam.width, config.center_band)
+    foe = vision.foe
+    dist = math.hypot(state.x - obs.goal[0], state.y - obs.goal[1])
+    # Repulsion is muted near the goal, where the road's end fakes a
+    # detection.
+    fx_eff = vision.commanded_fx
+    if dist <= OBS_GOAL_GATE:
+        fx_eff = 0.0
+    f_obs = obstacle.RepulsiveForce(fx_eff, vision.obs_fy)
+    f_att = potential.attractive_force((state.x, state.y), obs.goal,
+                                       config.alpha)
+    curvature = potential.classify_curvature(foe, cam.width)
     # road-plane probe: +y is rightward, valley at the road's center line
-    pos_field = (config.lookahead, road_params.valley_offset - d_lat)
+    pos_field = (config.lookahead, road_params.valley_offset - obs.lat_offset)
     f_road = potential.road_force(pos_field, curvature, road_params)
     f_tot = potential.total_force(f_att, f_obs, f_road,
                                   lambda_x=config.lambda_x,
                                   lambda_y=config.lambda_y,
-                                  psi=psi, k_img=config.k_img)
+                                  psi=state.psi, k_img=config.k_img)
     try:
         psi_d = vehicle.desired_heading(f_tot)
     except NoDirectionError:
-        psi_d = fallback
-    return f_road, f_tot, psi_d
+        psi_d = psi_d_prev
+    # The road walls steepen exponentially, so the raw field heading can
+    # swing near-perpendicular to the road; clamping the command about
+    # the road tangent keeps the lateral closure rate within what the
+    # rate-limited steering can stabilize. The wide clamp is reserved for
+    # committed avoidance; lane keeping alone gets a tight cap, which keeps
+    # the stiff walls from sustaining a bang-bang weave around the valley.
+    cap = config.swerve_max if vision.latch_left > 0 else config.swerve_keep
+    dev = vehicle.wrap_angle(psi_d - obs.h_road)
+    dev = max(-cap, min(cap, dev))
+    # rate damping: the lateral closure rate is v*sin(psi - h_road);
+    # feeding it back bleeds off ringing the walls would sustain
+    dev -= config.swerve_damp * math.sin(
+        vehicle.wrap_angle(state.psi - obs.h_road))
+    dev = max(-cap, min(cap, dev))
+    psi_d = vehicle.wrap_angle(obs.h_road + dev)
+    # new avoidance commits only while tracking the lane cleanly: during
+    # a swerve recovery the obstacle bearing flips sign frame to frame
+    # and lane texture is viewed obliquely, so detections are untrusted
+    vision.commit_ok = (
+        abs(obs.lat_offset) <= COMMIT_LAT_MAX
+        and abs(vehicle.wrap_angle(state.psi - obs.h_road)) <= COMMIT_DEV_MAX)
+    psi_d_dot = vehicle.wrap_angle(psi_d - psi_d_prev) / dt if k else 0.0
+    psi_d_dot = max(-PSI_D_DOT_MAX, min(PSI_D_DOT_MAX, psi_d_dot))
+
+    psi_dot = vehicle.yaw_rate(state.v, state.delta_f, params)
+    s_r = vehicle.rotational_manifold(state.psi, psi_d, psi_dot, psi_d_dot,
+                                      params.c_r)
+    u = vehicle.steer_command(s_r, params)
+
+    # slow down while dodging: detection range is geometry-limited, so
+    # trading speed for maneuvering time is what makes the swerve fit
+    v_d_eff = (params.v_d * min(1.0, dist / TAPER_DIST)
+               / (1.0 + config.obs_slow * abs(fx_eff)))
+    s_l = params.c_l * state.v - v_d_eff
+    a = vehicle.longitudinal_command(state.v, v_d_eff, params)
+
+    row = TraceRow(
+        t=k * dt, x=state.x, y=state.y, psi=state.psi, v=state.v,
+        delta_f=state.delta_f, foe_x=foe.x_foe, foe_y=foe.y_foe,
+        f_att_x=f_att.fx, f_att_y=f_att.fy,
+        f_obs_x=f_obs.f_x, f_obs_y=f_obs.f_y,
+        f_road_x=f_road.fx, f_road_y=f_road.fy,
+        f_tot_x=f_tot.fx, f_tot_y=f_tot.fy,
+        s_r=s_r, s_l=s_l, u=u, a=a,
+        lat_offset=obs.lat_offset, clearance=math.nan)
+    return row, psi_d
 
 
 def _drive(config, world, control):
@@ -386,7 +450,6 @@ def run_simulation(config, world=None, cam=None):
         world = scene.make_course(config.course, seed=config.seed)
     if cam is None:
         cam = scene.CameraModel()
-    params = config.vehicle_params
     vision = VisionState(config, cam)
     dt = config.dt
     stride = config.vision_stride
@@ -401,69 +464,12 @@ def run_simulation(config, world=None, cam=None):
             vision.update(img, pair_dt=dt * stride,
                           dpsi=vehicle.wrap_angle(state.psi - vis_psi))
             vis_psi = state.psi
-        foe = vision.foe
-        d_lat = gt["lateral_offset"]
-        dist = gt["distance_to_goal"]
-        # Repulsion is muted near the goal, where the road's end fakes a
-        # detection.
-        fx_eff = vision.commanded_fx
-        if dist <= config.obs_goal_gate:
-            fx_eff = 0.0
-        f_obs = obstacle.RepulsiveForce(fx_eff, vision.obs_fy)
-        f_att = potential.attractive_force((state.x, state.y), world.goal,
-                                           config.alpha)
-        f_road, f_tot, psi_d = steer_to_field(config, cam, foe, f_att, f_obs,
-                                              d_lat, state.psi, psi_d_prev)
-        # The road walls steepen exponentially, so the raw field heading can
-        # swing near-perpendicular to the road; clamping the command about
-        # the road tangent keeps the lateral closure rate within what the
-        # rate-limited steering can stabilize.
-        h_road = world.road.pose_at(gt["arclength"])[2]
-        # the wide clamp is reserved for committed avoidance; lane keeping
-        # alone gets a tight cap, which keeps the stiff walls from
-        # sustaining a bang-bang weave around the valley
-        cap = config.swerve_max if vision.latch_left > 0 else config.swerve_keep
-        dev = vehicle.wrap_angle(psi_d - h_road)
-        dev = max(-cap, min(cap, dev))
-        # rate damping: the lateral closure rate is v*sin(psi - h_road);
-        # feeding it back bleeds off ringing the walls would sustain
-        dev -= config.swerve_damp * math.sin(
-            vehicle.wrap_angle(state.psi - h_road))
-        dev = max(-cap, min(cap, dev))
-        psi_d = vehicle.wrap_angle(h_road + dev)
-        # new avoidance commits only while tracking the lane cleanly: during
-        # a swerve recovery the obstacle bearing flips sign frame to frame
-        # and lane texture is viewed obliquely, so detections are untrusted
-        vision.commit_ok = (
-            abs(d_lat) <= config.commit_lat_max
-            and abs(vehicle.wrap_angle(state.psi - h_road))
-            <= config.commit_dev_max)
-        psi_d_dot = vehicle.wrap_angle(psi_d - psi_d_prev) / dt if k else 0.0
-        psi_d_dot = max(-config.psi_d_dot_max,
-                        min(config.psi_d_dot_max, psi_d_dot))
-        psi_d_prev = psi_d
-
-        psi_dot = vehicle.yaw_rate(state.v, state.delta_f, params)
-        s_r = vehicle.rotational_manifold(state.psi, psi_d, psi_dot, psi_d_dot,
-                                          params.c_r)
-        u = vehicle.steer_command(s_r, params)
-
-        # slow down while dodging: detection range is geometry-limited, so
-        # trading speed for maneuvering time is what makes the swerve fit
-        v_d_eff = (params.v_d * min(1.0, dist / config.taper_dist)
-                   / (1.0 + config.obs_slow * abs(fx_eff)))
-        s_l = params.c_l * state.v - v_d_eff
-        a = vehicle.longitudinal_command(state.v, v_d_eff, params)
-
-        return TraceRow(
-            t=k * dt, x=state.x, y=state.y, psi=state.psi, v=state.v,
-            delta_f=state.delta_f, foe_x=foe.x_foe, foe_y=foe.y_foe,
-            f_att_x=f_att.fx, f_att_y=f_att.fy,
-            f_obs_x=f_obs.f_x, f_obs_y=f_obs.f_y,
-            f_road_x=f_road.fx, f_road_y=f_road.fy,
-            f_tot_x=f_tot.fx, f_tot_y=f_tot.fy,
-            s_r=s_r, s_l=s_l, u=u, a=a,
-            lat_offset=d_lat, clearance=gt["clearance"])
+        obs = Observation(gt["lateral_offset"],
+                          world.road.pose_at(gt["arclength"])[2], world.goal)
+        row, psi_d_prev = control_step(config, cam, vision, state, psi_d_prev,
+                                       k, dt, obs)
+        row.clearance = gt["clearance"]
+        return row
 
     return _drive(config, world, control)
 
@@ -487,7 +493,7 @@ def run_baseline(config, world=None):
         delta_des = max(-params.delta_0, min(params.delta_0, delta_des))
         u = max(-params.u_0, min(params.u_0, (delta_des - state.delta_f) / dt))
 
-        v_d_eff = params.v_d * min(1.0, gt["distance_to_goal"] / config.taper_dist)
+        v_d_eff = params.v_d * min(1.0, gt["distance_to_goal"] / TAPER_DIST)
         s_l = params.c_l * state.v - v_d_eff
         a = vehicle.longitudinal_command(state.v, v_d_eff, params)
 

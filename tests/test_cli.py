@@ -171,6 +171,37 @@ def test_replay_honours_pure_sign(capsys, tmp_path, recording):
     assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize("interval", [None, 1.0 / 30.0])
+def test_replay_runs_the_shared_control_step(capsys, tmp_path, recording,
+                                             monkeypatch, interval):
+    # the step length is the recording's interval, not config.dt
+    frames, controls = recording
+    config_dt = pipeline.PipelineConfig().dt
+    if interval is None:
+        interval = config_dt
+    else:
+        assert interval != config_dt
+        controls = tmp_path / "c.csv"
+        controls.write_text("".join(f"{i * interval!r},0.0,0.0\n"
+                                    for i in range(N_FRAMES)))
+    calls = []
+    control_step = pipeline.control_step
+
+    def spy(config, cam, vision, state, psi_d_prev, k, dt, obs):
+        calls.append((k, dt, obs))
+        return control_step(config, cam, vision, state, psi_d_prev, k, dt, obs)
+
+    monkeypatch.setattr(pipeline, "control_step", spy)
+    assert _run(capsys, ["replay", frames, controls, "--out", tmp_path]) == 0
+    assert [k for k, _, _ in calls] == list(range(N_FRAMES - 1))
+    for _, dt, obs in calls:
+        assert dt == interval
+        assert obs.lat_offset == 0.0 and obs.h_road == 0.0
+        # the goal lies beyond the goal gate and the speed taper
+        dist = math.hypot(*obs.goal)
+        assert dist > pipeline.OBS_GOAL_GATE and dist > pipeline.TAPER_DIST
+
+
 # ---------------------------------------------------------------------------
 # the drive loop's exits, for the vision run and the baseline
 # ---------------------------------------------------------------------------

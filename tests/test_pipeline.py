@@ -3,9 +3,11 @@ filters and its flow-field steps: the latch/confirm/gap/refractory machine,
 the forward-backward check (Kalal et al., Forward-Backward Error, ICPR 2010),
 the cluster filter, the derotation and the trimmed FOE refit. The array
 code of the last four is checked bit for bit against the loops over
-per-vector tuples it replaced."""
+per-vector tuples it replaced. Then the shared control step: its heading
+clamp, goal gate, commit gate, heading-rate start and speed taper."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from flownav import egomotion, flow, scene
 from flownav.errors import DegenerateGeometryError, InsufficientFlowError
 from flownav.flow import FlowField
 from flownav.imgproc import GrayImage
-from flownav.pipeline import PipelineConfig, VisionState
+from flownav.pipeline import (COMMIT_DEV_MAX, COMMIT_LAT_MAX, OBS_GOAL_GATE,
+                              PSI_D_DOT_MAX, TAPER_DIST, Observation,
+                              PipelineConfig, VisionState, control_step)
+from flownav.vehicle import VehicleState, rotational_manifold
 
 from test_egomotion import make_field
 from test_flow import bits, grid_points, shifted, textured
@@ -340,3 +345,92 @@ class TestFieldSteps:
         raw = egomotion.FoeEstimate(160.0, 100.0, 1.0, 0)
         ff = FlowField(ff.pts, ff.disp, ff.valid & (np.arange(16) < 9))
         assert vs._trim_refit(ff, raw) is raw is trim_refit_ref(vs, ff, raw)
+
+
+# ---------------------------------------------------------------------------
+# control_step on a stub vision state, road tangent along +x
+# ---------------------------------------------------------------------------
+
+CAM = scene.CameraModel()
+CONFIG = PipelineConfig()
+# image-frame lateral force whose k_img-scaled push (150) dwarfs the goal
+# attraction (alpha * 100 m = 5), so the field heading is near -pi/2
+SHOVE = 1e-6
+
+
+def stub_vision(fx=0.0, latched=False):
+    """The attributes control_step reads from, or sets on, a VisionState;
+    the FOE sits mid-frame, so the road reads as straight."""
+    return SimpleNamespace(
+        foe=egomotion.FoeEstimate(CAM.width / 2.0, CAM.cy, 1.0, 0),
+        commanded_fx=fx, obs_fy=0.0, latch_left=5 if latched else 0,
+        commit_ok=True)
+
+
+def step(vs, lat=0.0, psi=0.0, goal=100.0, k=1, psi_d_prev=0.0):
+    """One control step at the origin at cruise speed, wheels straight,
+    with the road tangent along +x and the goal `goal` m ahead on it."""
+    state = VehicleState(0.0, 0.0, psi, CONFIG.vehicle_params.v_d, 0.0)
+    obs = Observation(lat_offset=lat, h_road=0.0, goal=(goal, 0.0))
+    return control_step(CONFIG, CAM, vs, state, psi_d_prev, k, CONFIG.dt, obs)
+
+
+class TestControlStep:
+    @pytest.mark.parametrize("latched, cap", [
+        (False, CONFIG.swerve_keep), (True, CONFIG.swerve_max)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_heading_clamped_about_road(self, latched, cap, sign):
+        row, psi_d = step(stub_vision(sign * SHOVE, latched))
+        # the raw field heading lies well past either cap
+        assert -sign * math.atan2(row.f_tot_y, row.f_tot_x) > 1.5
+        assert psi_d == pytest.approx(-sign * cap, abs=1e-12)
+
+    def test_damping_cannot_exceed_cap(self):
+        # off the tangent by 0.5 rad with a field along it: the rate damping
+        # alone asks for sin(0.5) = 0.48 rad back, more than the cap
+        _, psi_d = step(stub_vision(), psi=-0.5)
+        assert psi_d == pytest.approx(CONFIG.swerve_keep, abs=1e-12)
+
+    def test_damping_acts_on_the_clamped_heading(self):
+        # the field pulls right far past the cap while the vehicle already
+        # heads 0.5 rad right: damping turns the clamped command left
+        _, psi_d = step(stub_vision(SHOVE), psi=-0.5)
+        assert psi_d == pytest.approx(CONFIG.swerve_keep, abs=1e-12)
+
+    def test_goal_gate_mutes_repulsion(self):
+        row, _ = step(stub_vision(SHOVE), goal=OBS_GOAL_GATE)
+        assert row.f_obs_x == 0.0
+        row, _ = step(stub_vision(SHOVE), goal=OBS_GOAL_GATE + 1.0)
+        assert row.f_obs_x == SHOVE
+
+    @pytest.mark.parametrize("lat, psi, ok", [
+        (0.0, 0.0, True),
+        (0.99 * COMMIT_LAT_MAX, -0.9 * COMMIT_DEV_MAX, True),
+        (1.01 * COMMIT_LAT_MAX, 0.0, False),
+        (-1.01 * COMMIT_LAT_MAX, 0.0, False),
+        (0.0, 1.1 * COMMIT_DEV_MAX, False),
+        (0.0, -1.1 * COMMIT_DEV_MAX, False),
+    ])
+    def test_commit_gate(self, lat, psi, ok):
+        vs = stub_vision()
+        vs.commit_ok = not ok
+        step(vs, lat=lat, psi=psi)
+        assert vs.commit_ok is ok
+
+    def test_heading_rate_zero_at_step_zero(self):
+        # a held heading 1 rad away: a rate of -60 rad/s, capped, from step 1
+        c_r = CONFIG.vehicle_params.c_r
+        row, psi_d = step(stub_vision(), k=0, psi_d_prev=1.0)
+        assert row.s_r == rotational_manifold(0.0, psi_d, 0.0, 0.0, c_r)
+        row, psi_d = step(stub_vision(), k=1, psi_d_prev=1.0)
+        assert row.s_r == rotational_manifold(0.0, psi_d, 0.0, -PSI_D_DOT_MAX,
+                                              c_r)
+
+    def test_taper_cuts_reference_speed(self):
+        p = CONFIG.vehicle_params
+        row, _ = step(stub_vision(), goal=2.0 * TAPER_DIST)
+        assert row.s_l == p.c_l * p.v_d - p.v_d
+        assert row.a == 0.0
+        row, _ = step(stub_vision(), goal=0.5 * TAPER_DIST)
+        assert row.s_l == p.c_l * p.v_d - 0.5 * p.v_d
+        assert row.a < 0.0
