@@ -9,8 +9,8 @@ import os
 import sys
 from dataclasses import fields
 
-from . import egomotion, flow, imgproc, pipeline, potential, \
-    scene, svgplot, trace, vehicle
+from . import egomotion, flow, imgproc, pipeline, scene, svgplot, trace, \
+    vehicle
 from .errors import (AlignmentError, FlownavError, InsufficientFlowError,
                      DegenerateGeometryError, InvalidParameterError)
 
@@ -34,18 +34,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _coerce(raw, current):
+def _coerce(key, raw, current):
+    """raw parsed as the type of key's current value."""
     if isinstance(current, bool):
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise InvalidParameterError(f"expected a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw, 0)
-    if isinstance(current, float):
-        return float(raw)
+        raise InvalidParameterError(f"config key {key!r}: expected a boolean, "
+                                    f"got {raw!r}")
+    try:
+        if isinstance(current, int):
+            return int(raw, 0)
+        if isinstance(current, float):
+            return float(raw)
+    except ValueError:
+        raise InvalidParameterError(
+            f"config key {key!r}: expected {type(current).__name__}, "
+            f"got {raw!r}") from None
     return raw.strip()
 
 
@@ -68,28 +75,20 @@ def parse_config_text(text):
 def apply_config(config, entries):
     """Apply flat config entries onto a PipelineConfig.
 
-    Dotted keys route by namespace: `vehicle.*` to the vehicle parameters,
-    `road.*` to the road-field parameters; any other namespace prefix is
-    cosmetic grouping and only the last segment matters (`lk.window` sets
-    `window`).
+    A plain key names a `PipelineConfig` scalar; `vehicle.*` names a vehicle
+    parameter. Any other key, dotted or not, is an error.
     """
     vehicle_keys = {f.name for f in fields(vehicle.VehicleParams)}
-    road_keys = {f.name for f in fields(potential.RoadFieldParams)}
     scalar_keys = set(pipeline.PipelineConfig.scalar_keys())
     for key, raw in entries.items():
-        ns, _, leaf = key.rpartition(".")
-        if ns == "vehicle":
+        ns, _, leaf = key.partition(".")
+        if ns == "vehicle" and leaf in vehicle_keys:
             target, name = config.vehicle_params, leaf
-            valid = vehicle_keys
-        elif ns == "road":
-            target, name = config.road_field, leaf
-            valid = road_keys
+        elif key in scalar_keys:
+            target, name = config, key
         else:
-            target, name = config, leaf
-            valid = scalar_keys
-        if name not in valid:
             raise InvalidParameterError(f"unknown config key {key!r}")
-        setattr(target, name, _coerce(raw, getattr(target, name)))
+        setattr(target, name, _coerce(key, raw, getattr(target, name)))
     return config
 
 
@@ -124,16 +123,14 @@ def _write(path, text):
 
 
 def cmd_flow(args):
-    config = build_config(args)
+    build_config(args)  # a bad --config is a usage error here too
     prev = imgproc.read_pgm(args.prev)
     next_ = imgproc.read_pgm(args.next)
-    pts = pipeline.detect_features(config, prev)
-    ff = flow.track(prev, next_, pts, window=config.window,
-                    epsilon=config.epsilon, max_iters=config.max_iters,
-                    levels=config.levels)
+    pts = pipeline.detect_features(prev)
+    ff = flow.track(prev, next_, pts, levels=pipeline.PYR_LEVELS)
     foe = None
     try:
-        foe = egomotion.estimate_foe(ff, min_speed=config.min_flow_speed)
+        foe = egomotion.estimate_foe(ff, min_speed=pipeline.MIN_FLOW_SPEED)
     except (InsufficientFlowError, DegenerateGeometryError):
         pass
     out = _outdir(args)

@@ -1,10 +1,11 @@
 """Closed-loop pipeline: render -> flow -> FOE/TTC -> obstacle force ->
 potential field -> sliding-mode commands -> bicycle step.
 
-Owns the aggregated configuration for every stage, the one control step
-that the vision-guided run calls and replay runs under a straight-lane
-`Observation`, and the drive loop shared by the vision-guided run and the
-waypoint-PID baseline.
+Owns the settable configuration (`PipelineConfig` and its vehicle
+parameters; every other stage value is a named constant beside its
+reader), the one control step that the vision-guided run calls and replay
+runs under a straight-lane `Observation`, and the drive loop shared by the
+vision-guided run and the waypoint-PID baseline.
 """
 
 import math
@@ -26,88 +27,69 @@ PSI_D_DOT_MAX = 2.0    # rad/s; cap on the desired heading's rate
 
 @dataclass
 class PipelineConfig:
-    """Every stage default, overridable via the flat config file."""
+    """The settable stage values, overridable via the flat config file;
+    every other stage value is a module constant beside its reader."""
 
     # scene / course
     course: str = "straight-arc"
     seed: int = 7
     weather: str = "clear"
-    # corner detector
-    max_corners: int = 150
-    quality_level: float = 0.002
-    min_distance: int = 7
-    det_row_max: int = 190      # skip the bottom band: flow there outruns LK
-    # optical flow
-    window: int = 25
-    epsilon: float = 0.03
-    max_iters: int = 30
-    levels: int = 3
+    # vision
     vision_stride: int = 4      # frames between tracked pairs
-    # FOE / TTC
-    min_flow_speed: float = 0.5
-    foe_smoothing: float = 0.7
     foe_trim: float = 0.7       # inlier fraction kept for the FOE refit
-    exclusion_radius: float = 10.0
-    ttc_max: float = 100.0
-    # obstacle segmentation / repulsion
-    min_residual: float = 2.5
-    cluster_radius: float = 60.0  # flagged points need a neighbour this close
     min_cluster: int = 2
-    fb_tol: float = 1.5         # forward-backward track tolerance, px
-    gamma: float = 1.0
+    # obstacle repulsion
     ttc_min: float = 0.5
     k_img: float = 1.5e8
     raw_ttc: bool = False
-    obs_attack: float = 0.5     # EMA weight pulling toward a fresh detection
-    obs_decay: float = 0.9      # retention when no detection (hysteresis)
-    obs_deadband: float = 1.0e-4  # soft threshold on the lateral force EMA
     obs_slow: float = 6000.0      # speed cut per unit of gated lateral force
-    obs_confirm: int = 2          # same-sign gated detections to commit
-    obs_gap_max: int = 2          # empty frames tolerated between them
     obs_hold: float = 4.0         # s; dwell of a committed avoidance
-    obs_refract: float = 2.0      # s; no re-commit right after a dwell
     obs_latch_fx: float = 5.0e-5  # image-frame lateral force while committed
-    # potential field
-    alpha: float = 0.05
-    lambda_x: float = 4.0e-6
-    lambda_y: float = 4.0e-6
+    # potential field / control
     lookahead: float = 5.0      # field longitudinal probe offset, m
-    # control / simulation
-    dt: float = 1.0 / 60.0
     max_steps: int = 4000
-    goal_radius: float = 2.0
-    corridor_margin: float = 10.0
     swerve_max: float = 0.6     # rad; heading clamp while an avoidance is on
     swerve_keep: float = 0.2    # rad; heading clamp during plain lane keeping
     swerve_damp: float = 1.0    # heading feedback on the lateral closure rate
     vehicle_params: vehicle.VehicleParams = field(
         default_factory=vehicle.VehicleParams)
-    road_field: potential.RoadFieldParams = field(
-        default_factory=potential.RoadFieldParams)
 
     def validate(self):
         if self.vision_stride < 1:
             raise InvalidParameterError("vision_stride must be >= 1")
-        if self.dt <= 0 or self.dt > 0.1:
-            raise InvalidParameterError("dt must be in (0, 0.1]")
         if self.weather not in ("clear", "rain"):
             raise InvalidParameterError(f"unknown weather {self.weather!r}")
-        self.road_field.validate()
 
     @classmethod
     def scalar_keys(cls):
-        return [f.name for f in fields(cls)
-                if f.name not in ("vehicle_params", "road_field")]
+        return [f.name for f in fields(cls) if f.name != "vehicle_params"]
 
 
-def detect_features(config, img):
-    """Corners to track from img, above the bottom band (rows >= det_row_max)
+MAX_CORNERS = 150
+QUALITY_LEVEL = 0.002
+DET_ROW_MAX = 190   # skip the bottom band: flow there outruns LK
+
+
+def detect_features(img):
+    """Corners to track from img, above the bottom band (rows >= DET_ROW_MAX)
     where flow outruns LK. The closed loop, replay and `flownav flow` all
     detect here."""
-    return features.detect_corners(img, max_corners=config.max_corners,
-                                   quality_level=config.quality_level,
-                                   min_distance=config.min_distance,
-                                   row_range=(0, config.det_row_max))
+    return features.detect_corners(img, max_corners=MAX_CORNERS,
+                                   quality_level=QUALITY_LEVEL,
+                                   row_range=(0, DET_ROW_MAX))
+
+
+PYR_LEVELS = 3         # pyramid depth of every build_pyramid and track
+MIN_FLOW_SPEED = 0.5   # px; slower vectors carry no FOE direction
+MIN_RESIDUAL = 2.5     # px of radial overshoot that flags an obstacle
+CLUSTER_RADIUS = 60.0  # px; flagged points need a neighbour this close
+FB_TOL = 1.5           # px; forward-backward track tolerance
+OBS_ATTACK = 0.5       # EMA weight pulling toward a fresh detection
+OBS_DECAY = 0.9        # retention when no detection (hysteresis)
+OBS_DEADBAND = 1.0e-4  # soft threshold on the lateral force EMA
+OBS_CONFIRM = 2        # same-sign gated detections to commit
+OBS_GAP_MAX = 2        # empty frames tolerated between them
+OBS_REFRACT = 2.0      # s; no re-commit right after a dwell
 
 
 class VisionState:
@@ -119,7 +101,7 @@ class VisionState:
         self.cam = cam
         self.prev_pyr = None
         self.prev_pts = np.empty((0, 2))
-        self.smoother = egomotion.FoeSmoother(config.foe_smoothing)
+        self.smoother = egomotion.FoeSmoother()
         self.foe = egomotion.FoeEstimate(cam.cx, cam.cy + cam.focal
                                          * math.tan(cam.pitch), float("inf"), 0)
         self.obs_fx = 0.0
@@ -142,26 +124,34 @@ class VisionState:
         ground-expansion model (valid for pure translation) also holds in
         turns. The raw-flow FOE is kept separately: its lateral shift is
         exactly what the road-curvature classifier needs."""
-        c = self.config
         ff = None
-        pyr = flow.build_pyramid(img, c.levels)
+        pyr = flow.build_pyramid(img, PYR_LEVELS)
         if len(self.prev_pts):
             ff = flow.track(self.prev_pyr[0], img, self.prev_pts,
-                            window=c.window, epsilon=c.epsilon,
-                            max_iters=c.max_iters, levels=c.levels,
-                            frame_interval=pair_dt,
+                            levels=PYR_LEVELS, frame_interval=pair_dt,
                             prev_pyr=self.prev_pyr, next_pyr=pyr)
-            try:
-                raw = egomotion.estimate_foe(ff, min_speed=c.min_flow_speed)
-                raw = self._trim_refit(ff, raw)
-                self.foe = self.smoother.update(raw)
-            except (InsufficientFlowError, DegenerateGeometryError):
-                pass  # hold the previous (smoothed) estimate
-            self._update_obstacle(self._derotate(ff, dpsi), ff, pyr)
+            fit = self._fit(ff)
+            if fit is not None:  # else hold the previous (smoothed) estimate
+                self.foe = self.smoother.update(fit)
+            # without a yaw to subtract, the obstacle stage sees the same
+            # field, so the raw fit serves it as well
+            ff_obs = self._derotate(ff, dpsi)
+            if ff_obs is not ff:
+                fit = self._fit(ff_obs)
+            self._update_obstacle(ff_obs, ff, pyr,
+                                  self.foe if fit is None else fit)
             self._update_latch(pair_dt)
         self.prev_pyr = pyr
-        self.prev_pts = detect_features(c, img)
+        self.prev_pts = detect_features(img)
         return ff
+
+    def _fit(self, ff):
+        """Trimmed FOE fit of ff, or None when ff fixes no FOE."""
+        try:
+            return self._trim_refit(
+                ff, egomotion.estimate_foe(ff, min_speed=MIN_FLOW_SPEED))
+        except (InsufficientFlowError, DegenerateGeometryError):
+            return None
 
     def _derotate(self, ff, dpsi):
         """Subtract the flow induced by a known yaw of dpsi radians.
@@ -184,12 +174,11 @@ class VisionState:
         A handful of mistracked large flows can drag the least-squares FOE
         far off; the refit on the best-aligned fraction is a cheap robust
         estimator."""
-        c = self.config
         vx, vy = ff.disp[:, 0], ff.disp[:, 1]
         dx = ff.pts[:, 0] - raw.x_foe
         dy = ff.pts[:, 1] - raw.y_foe
         d = np.hypot(dx, dy)
-        idx = np.flatnonzero(ff.valid & (np.hypot(vx, vy) >= c.min_flow_speed)
+        idx = np.flatnonzero(ff.valid & (np.hypot(vx, vy) >= MIN_FLOW_SPEED)
                              & (d >= 1e-9))
         if len(idx) < 8:
             return raw
@@ -197,56 +186,48 @@ class VisionState:
         # ascending perp, ties in field order: estimate_foe sums its normal
         # equations in row order, so the order is part of the result
         keep = idx[np.argsort(perp, kind="stable")]
-        keep = keep[:max(int(c.foe_trim * len(idx)), 8)]
+        keep = keep[:max(int(self.config.foe_trim * len(idx)), 8)]
         try:
             return egomotion.estimate_foe(
                 flow.FlowField(ff.pts[keep], ff.disp[keep],
                                np.ones(len(keep), dtype=bool), ff.frame_interval),
-                min_speed=c.min_flow_speed)
+                min_speed=MIN_FLOW_SPEED)
         except (InsufficientFlowError, DegenerateGeometryError):
             return raw
 
     def _cluster_filter(self, pts):
         """Which of the flagged points pts (K, 2) have min_cluster-1
-        neighbours within cluster_radius; tracker glitches are isolated,
+        neighbours within CLUSTER_RADIUS; tracker glitches are isolated,
         real obstacles flag several corners. Returns a (K,) bool array."""
-        c = self.config
-        if len(pts) < c.min_cluster:
+        min_cluster = self.config.min_cluster
+        if len(pts) < min_cluster:
             return np.zeros(len(pts), dtype=bool)
         near = ((pts[:, None, 0] - pts[None, :, 0]) ** 2
-                + (pts[:, None, 1] - pts[None, :, 1]) ** 2) <= c.cluster_radius ** 2
+                + (pts[:, None, 1] - pts[None, :, 1]) ** 2) <= CLUSTER_RADIUS ** 2
         np.fill_diagonal(near, False)
-        return np.count_nonzero(near, axis=1) >= c.min_cluster - 1
+        return np.count_nonzero(near, axis=1) >= min_cluster - 1
 
     def _fb_verify(self, index, ff_raw, pyr):
         """Which of the flagged vectors index (into ff_raw, all valid) track
-        back to their origin within fb_tol. Returns a bool array.
+        back to their origin within FB_TOL. Returns a bool array.
 
         Repetitive texture (lane dashes) occasionally aliases the forward
         track to the wrong period with a plausible-looking flow; tracking
         the displaced point backward exposes the mismatch. Only the few
         flagged points are re-tracked, so this stays cheap."""
-        c = self.config
         fwd = ff_raw.disp[index]
         back = flow.track(pyr[0], self.prev_pyr[0], ff_raw.pts[index] + fwd,
-                          window=c.window, epsilon=c.epsilon,
-                          max_iters=c.max_iters, levels=c.levels,
-                          prev_pyr=pyr, next_pyr=self.prev_pyr)
+                          levels=PYR_LEVELS, prev_pyr=pyr, next_pyr=self.prev_pyr)
         loop = back.disp + fwd
-        return back.valid & (np.hypot(loop[:, 0], loop[:, 1]) <= c.fb_tol)
+        return back.valid & (np.hypot(loop[:, 0], loop[:, 1]) <= FB_TOL)
 
-    def _update_obstacle(self, ff, ff_raw, pyr):
+    def _update_obstacle(self, ff, ff_raw, pyr, foe):
+        """Segment ff (ff_raw derotated) about foe, filter the flags and
+        fold their repulsion into the force EMA."""
         c = self.config
-        try:
-            foe = egomotion.estimate_foe(ff, min_speed=c.min_flow_speed)
-            foe = self._trim_refit(ff, foe)
-        except (InsufficientFlowError, DegenerateGeometryError):
-            foe = self.foe
-        ttc = egomotion.compute_ttc(ff, foe,
-                                    exclusion_radius=c.exclusion_radius,
-                                    ttc_max=c.ttc_max)
+        ttc = egomotion.compute_ttc(ff, foe)
         mask = obstacle.segment_obstacles(ff, foe, ttc,
-                                          min_residual=c.min_residual)
+                                          min_residual=MIN_RESIDUAL)
         pts, ttc = mask.points, mask.ttc
         if len(pts):
             ok = self._fb_verify(mask.index, ff_raw, pyr)
@@ -255,17 +236,17 @@ class VisionState:
             pts, ttc = pts[ok], ttc[ok]
         if not len(pts):
             self.inst_sign = 0
-            self.obs_fx *= c.obs_decay
-            self.obs_fy *= c.obs_decay
+            self.obs_fx *= OBS_DECAY
+            self.obs_fy *= OBS_DECAY
             return
         d = obstacle.DECIM
         pts_c = pts / d
         plane_c = obstacle._splat(self.cam.width // d, self.cam.height // d,
                                   pts_c, obstacle.SPLAT_RADIUS / d)
         f = obstacle.repulsive_force(pts_c, ttc, plane_c, obstacle.ROI_TOP // d,
-                                     gamma=c.gamma, ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
+                                     ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
         self.inst_sign = 1 if f.f_x > 0 else (-1 if f.f_x < 0 else 0)
-        a = c.obs_attack
+        a = OBS_ATTACK
         self.obs_fx = (1 - a) * self.obs_fx + a * f.f_x
         self.obs_fy = (1 - a) * self.obs_fy + a * f.f_y
 
@@ -289,7 +270,7 @@ class VisionState:
             else:
                 self.latch_left -= 1
                 if self.latch_left == 0:
-                    self.refract_left = int(round(c.obs_refract / pair_dt))
+                    self.refract_left = int(round(OBS_REFRACT / pair_dt))
             return
         if self.refract_left > 0:
             self.refract_left -= 1
@@ -302,14 +283,14 @@ class VisionState:
             self.pend_count = self.pend_count + 1 if d == self.pend_dir else 1
             self.pend_dir = d
             self.pend_gap = 0
-            if self.pend_count >= c.obs_confirm:
+            if self.pend_count >= OBS_CONFIRM:
                 self.latch_dir = d
                 self.latch_left = int(round(c.obs_hold / pair_dt))
                 self.pend_count = 0
                 self.pend_dir = 0
         elif self.pend_dir != 0:
             self.pend_gap += 1
-            if self.pend_gap > c.obs_gap_max:
+            if self.pend_gap > OBS_GAP_MAX:
                 self.pend_count = 0
                 self.pend_dir = 0
                 self.pend_gap = 0
@@ -317,8 +298,7 @@ class VisionState:
     @property
     def gated_fx(self):
         """Lateral repulsion EMA past the soft deadband (0 when below it)."""
-        c = self.config
-        return math.copysign(max(abs(self.obs_fx) - c.obs_deadband, 0.0),
+        return math.copysign(max(abs(self.obs_fx) - OBS_DEADBAND, 0.0),
                              self.obs_fx)
 
     @property
@@ -341,12 +321,17 @@ class Observation:
     goal: tuple
 
 
+ALPHA = 0.05        # goal attraction per metre of distance
+LAMBDA_X = 4.0e-6   # road-force weights in the total force
+LAMBDA_Y = 4.0e-6
+ROAD_FIELD = potential.RoadFieldParams()
+
+
 def control_step(config, cam, vision, state, psi_d_prev, k, dt, obs):
     """Step k, of length dt, of the sliding-mode controller on the visual
     potential field; obs holds every read that is not the camera's. Sets
     vision.commit_ok. Returns (TraceRow with a NaN clearance, psi_d)."""
     params = config.vehicle_params
-    road_params = config.road_field
     foe = vision.foe
     dist = math.hypot(state.x - obs.goal[0], state.y - obs.goal[1])
     # Repulsion is muted near the goal, where the road's end fakes a
@@ -355,15 +340,13 @@ def control_step(config, cam, vision, state, psi_d_prev, k, dt, obs):
     if dist <= OBS_GOAL_GATE:
         fx_eff = 0.0
     f_obs = obstacle.RepulsiveForce(fx_eff, vision.obs_fy)
-    f_att = potential.attractive_force((state.x, state.y), obs.goal,
-                                       config.alpha)
+    f_att = potential.attractive_force((state.x, state.y), obs.goal, ALPHA)
     curvature = potential.classify_curvature(foe, cam.width)
     # road-plane probe: +y is rightward, valley at the road's center line
-    pos_field = (config.lookahead, road_params.valley_offset - obs.lat_offset)
-    f_road = potential.road_force(pos_field, curvature, road_params)
+    pos_field = (config.lookahead, ROAD_FIELD.valley_offset - obs.lat_offset)
+    f_road = potential.road_force(pos_field, curvature, ROAD_FIELD)
     f_tot = potential.total_force(f_att, f_obs, f_road,
-                                  lambda_x=config.lambda_x,
-                                  lambda_y=config.lambda_y,
+                                  lambda_x=LAMBDA_X, lambda_y=LAMBDA_Y,
                                   psi=state.psi, k_img=config.k_img)
     try:
         psi_d = vehicle.desired_heading(f_tot)
@@ -417,6 +400,11 @@ def control_step(config, cam, vision, state, psi_d_prev, k, dt, obs):
     return row, psi_d
 
 
+DT = 1.0 / 60.0         # s; simulation and control step
+GOAL_RADIUS = 2.0       # m; the goal counts as reached this close
+CORRIDOR_MARGIN = 10.0  # m past the road's edge at which a run diverges
+
+
 def _drive(config, world, control):
     """Closed loop from world.start_state: ground truth, then
     control(k, state, gt) -> TraceRow, then the goal and corridor exits,
@@ -431,15 +419,15 @@ def _drive(config, world, control):
         gt = scene.ground_truth(world, state)
         row = control(k, state, gt)
         rows.append(row)
-        if gt["distance_to_goal"] <= config.goal_radius:
+        if gt["distance_to_goal"] <= GOAL_RADIUS:
             goal_reached = True
             break
         if (abs(gt["lateral_offset"])
-                > world.road.width / 2.0 + config.corridor_margin):
+                > world.road.width / 2.0 + CORRIDOR_MARGIN):
             diverged = True
             break
         state = vehicle.step(state, vehicle.ControlCommand(row.u, row.a),
-                             params, config.dt)
+                             params, DT)
     return rows, summarize(rows, goal_reached, diverged), world
 
 
@@ -451,7 +439,6 @@ def run_simulation(config, world=None, cam=None):
     if cam is None:
         cam = scene.CameraModel()
     vision = VisionState(config, cam)
-    dt = config.dt
     stride = config.vision_stride
     psi_d_prev = world.start_state.psi
     vis_psi = world.start_state.psi
@@ -461,13 +448,13 @@ def run_simulation(config, world=None, cam=None):
         if k % stride == 0:
             img = scene.degrade(scene.render(world, cam, state), config.weather,
                                 seed=config.seed)
-            vision.update(img, pair_dt=dt * stride,
+            vision.update(img, pair_dt=DT * stride,
                           dpsi=vehicle.wrap_angle(state.psi - vis_psi))
             vis_psi = state.psi
         obs = Observation(gt["lateral_offset"],
                           world.road.pose_at(gt["arclength"])[2], world.goal)
         row, psi_d_prev = control_step(config, cam, vision, state, psi_d_prev,
-                                       k, dt, obs)
+                                       k, DT, obs)
         row.clearance = gt["clearance"]
         return row
 
@@ -481,7 +468,6 @@ def run_baseline(config, world=None):
     if world is None:
         world = scene.make_course(config.course, seed=config.seed)
     params = config.vehicle_params
-    dt = config.dt
     lookahead = 8.0
 
     def control(k, state, gt):
@@ -491,14 +477,14 @@ def run_baseline(config, world=None):
                                  - state.psi)
         delta_des = math.atan2(2.0 * params.wheelbase * math.sin(ang), lookahead)
         delta_des = max(-params.delta_0, min(params.delta_0, delta_des))
-        u = max(-params.u_0, min(params.u_0, (delta_des - state.delta_f) / dt))
+        u = max(-params.u_0, min(params.u_0, (delta_des - state.delta_f) / DT))
 
         v_d_eff = params.v_d * min(1.0, gt["distance_to_goal"] / TAPER_DIST)
         s_l = params.c_l * state.v - v_d_eff
         a = vehicle.longitudinal_command(state.v, v_d_eff, params)
 
         return TraceRow(
-            t=k * dt, x=state.x, y=state.y, psi=state.psi, v=state.v,
+            t=k * DT, x=state.x, y=state.y, psi=state.psi, v=state.v,
             delta_f=state.delta_f, foe_x=0.0, foe_y=0.0,
             f_att_x=0.0, f_att_y=0.0, f_obs_x=0.0, f_obs_y=0.0,
             f_road_x=0.0, f_road_y=0.0, f_tot_x=0.0, f_tot_y=0.0,

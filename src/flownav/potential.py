@@ -40,7 +40,7 @@ class ForceVector:
         return math.hypot(self.fx, self.fy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoadFieldParams:
     """Morse road-field constants (depth, variance, boundary polynomials)."""
 
@@ -54,14 +54,6 @@ class RoadFieldParams:
     delta_x: float = 1.0e-10
     n_straight: int = 1
     n_curve: int = 2
-
-    def validate(self):
-        if self.depth <= 0 or self.variance <= 0:
-            raise InvalidParameterError("depth and variance must be positive")
-        if not self.c0_left < 0 < self.c0_right:
-            raise InvalidParameterError("boundary offsets must bracket zero")
-        if self.delta_x <= 0:
-            raise InvalidParameterError("delta_x must be positive")
 
     def curve_coeffs(self, curvature):
         """(c2, n) for the boundary polynomials under the given curvature."""

@@ -24,7 +24,7 @@ def recording(tmp_path_factory):
     world = scene.make_course("straight", seed=7)
     cam = scene.CameraModel()
     config = pipeline.PipelineConfig()
-    v, dt = config.vehicle_params.v_d, config.dt
+    v, dt = config.vehicle_params.v_d, pipeline.DT
     lines = ["t,a,delta"]
     for i in range(N_FRAMES):
         x, y, h = world.road.pose_at(20.0 + i * v * dt)
@@ -56,6 +56,11 @@ def test_no_subcommand_is_usage_error(capsys):
     "max_steps 30\n",               # line without '='
     "raw_ttc = maybe\n",            # bad boolean
     "vehicle.pure_sign = 2\n",      # bad boolean in a namespace
+    "max_steps = abc\n",            # bad int
+    "lookahead = fast\n",           # bad float
+    "window = 25\n",                # a named constant, not a setting
+    "lk.window = 25\n",             # vehicle is the only namespace
+    "road.depth = 0.5\n",           # ... the road field has none
 ])
 def test_bad_config_is_usage_error(capsys, tmp_path, text):
     cfg = tmp_path / "bad.cfg"
@@ -63,6 +68,14 @@ def test_bad_config_is_usage_error(capsys, tmp_path, text):
     rc = _run(capsys, ["baseline", "--config", cfg, "--out", tmp_path / "o"])
     assert rc == USAGE_EXIT
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_bad_value_names_its_key(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max_steps = abc\n")
+    rc = cli.main(["baseline", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == USAGE_EXIT
+    assert "'max_steps'" in capsys.readouterr().err
 
 
 def test_replay_too_few_frames(capsys, tmp_path, recording):
@@ -99,7 +112,7 @@ def test_replay_timestamps_must_increase(capsys, tmp_path, recording):
 ])
 def test_replay_every_interval_checked(capsys, tmp_path, recording, steps):
     frames, _ = recording
-    dt = pipeline.PipelineConfig().dt
+    dt = pipeline.DT
     times = [0.0]
     for k in steps:
         times.append(times[-1] + k * dt)
@@ -113,7 +126,7 @@ def test_replay_every_interval_checked(capsys, tmp_path, recording, steps):
 def test_replay_accepts_accumulated_timestamps(capsys, tmp_path, recording):
     # a recorder that adds dt each step drifts by float rounding only
     frames, _ = recording
-    dt = pipeline.PipelineConfig().dt
+    dt = pipeline.DT
     t, lines = 0.0, []
     for _ in range(N_FRAMES):
         lines.append(f"{t!r},0.0,0.0\n")
@@ -140,8 +153,7 @@ def test_flow_writes_tracks(capsys, tmp_path, recording):
     assert all(math.isfinite(v) for r in valid for v in r)
     assert (out / "flow.svg").read_text().startswith("<svg")
     # corners come from the closed loop's detector, above the bottom band
-    det_row_max = pipeline.PipelineConfig().det_row_max
-    assert all(r[1] < det_row_max for r in rows)
+    assert all(r[1] < pipeline.DET_ROW_MAX for r in rows)
 
 
 def test_replay_predicts_every_pair(capsys, tmp_path, recording):
@@ -174,13 +186,12 @@ def test_replay_honours_pure_sign(capsys, tmp_path, recording):
 @pytest.mark.parametrize("interval", [None, 1.0 / 30.0])
 def test_replay_runs_the_shared_control_step(capsys, tmp_path, recording,
                                              monkeypatch, interval):
-    # the step length is the recording's interval, not config.dt
+    # the step length is the recording's interval, not pipeline.DT
     frames, controls = recording
-    config_dt = pipeline.PipelineConfig().dt
     if interval is None:
-        interval = config_dt
+        interval = pipeline.DT
     else:
-        assert interval != config_dt
+        assert interval != pipeline.DT
         controls = tmp_path / "c.csv"
         controls.write_text("".join(f"{i * interval!r},0.0,0.0\n"
                                     for i in range(N_FRAMES)))
@@ -221,7 +232,7 @@ def _world_from(s, lateral):
 def test_start_at_goal_stops_at_once(run):
     config = pipeline.PipelineConfig(course="straight")
     # the goal sits 2 m before the road's end
-    world = _world_from(220.0 - 2.0 - 0.5 * config.goal_radius, 0.0)
+    world = _world_from(220.0 - 2.0 - 0.5 * pipeline.GOAL_RADIUS, 0.0)
     rows, summary, _ = run(config, world=world)
     assert len(rows) == 1
     assert summary["goal_reached"] and not summary["diverged"]
@@ -231,7 +242,7 @@ def test_start_at_goal_stops_at_once(run):
 def test_start_outside_corridor_diverges(run):
     config = pipeline.PipelineConfig(course="straight")
     world = _world_from(20.0, 20.0)
-    assert 20.0 > world.road.width / 2.0 + config.corridor_margin
+    assert 20.0 > world.road.width / 2.0 + pipeline.CORRIDOR_MARGIN
     rows, summary, _ = run(config, world=world)
     assert len(rows) == 1
     assert summary["diverged"] and not summary["goal_reached"]
@@ -258,3 +269,35 @@ def test_pure_sign_flag_equals_config_key(capsys, tmp_path):
         traces[name] = (out / "trace.csv").read_bytes()
     assert traces["key"] == traces["flag"]
     assert traces["key"] != traces["neither"]
+
+
+# ---------------------------------------------------------------------------
+# the settable surface: every key written at its default changes nothing
+# ---------------------------------------------------------------------------
+
+def _at_defaults(**overrides):
+    """Config text that sets every settable key, at its default unless
+    overridden; strings bare, everything else as its repr."""
+    config = pipeline.PipelineConfig()
+    values = {key: getattr(config, key) for key in config.scalar_keys()}
+    values.update({f"vehicle.{f.name}": getattr(config.vehicle_params, f.name)
+                   for f in dataclasses.fields(config.vehicle_params)})
+    assert len(values) == 27
+    values.update(overrides)
+    return "".join(f"{key} = {v if isinstance(v, str) else repr(v)}\n"
+                   for key, v in values.items())
+
+
+@pytest.mark.parametrize("command", ["baseline", "simulate"])
+def test_config_at_defaults_is_neutral(capsys, tmp_path, command):
+    short = {"course": "straight", "max_steps": 30}
+    traces = []
+    for name, text in (
+            ("bare", "".join(f"{k} = {v}\n" for k, v in short.items())),
+            ("full", _at_defaults(**short))):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert _run(capsys, [command, "--config", cfg, "--out", out]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]

@@ -16,9 +16,12 @@ from flownav import egomotion, flow, scene
 from flownav.errors import DegenerateGeometryError, InsufficientFlowError
 from flownav.flow import FlowField
 from flownav.imgproc import GrayImage
-from flownav.pipeline import (COMMIT_DEV_MAX, COMMIT_LAT_MAX, OBS_GOAL_GATE,
-                              PSI_D_DOT_MAX, TAPER_DIST, Observation,
-                              PipelineConfig, VisionState, control_step)
+from flownav.pipeline import (CLUSTER_RADIUS, COMMIT_DEV_MAX, COMMIT_LAT_MAX,
+                              DT as SIM_DT, FB_TOL, MIN_FLOW_SPEED, OBS_CONFIRM,
+                              OBS_DEADBAND, OBS_GAP_MAX, OBS_GOAL_GATE,
+                              OBS_REFRACT, PSI_D_DOT_MAX, PYR_LEVELS,
+                              TAPER_DIST, Observation, PipelineConfig,
+                              VisionState, control_step)
 from flownav.vehicle import VehicleState, rotational_manifold
 
 from test_egomotion import make_field
@@ -43,7 +46,7 @@ def frame(vs, sign, fx=None):
 class TestUpdateLatch:
     def test_commits_after_confirmations(self):
         vs = vision()
-        assert vs.config.obs_confirm == 2
+        assert OBS_CONFIRM == 2
         frame(vs, -1)
         assert vs.latch_left == 0 and vs.pend_count == 1
         frame(vs, -1)
@@ -65,18 +68,17 @@ class TestUpdateLatch:
         assert vs.latch_left == 0
 
     def test_gap_tolerated_then_reset(self):
-        gap_max = PipelineConfig().obs_gap_max
-        assert gap_max == 2
+        assert OBS_GAP_MAX == 2
         vs = vision()
         frame(vs, 1)
-        for _ in range(gap_max):
+        for _ in range(OBS_GAP_MAX):
             frame(vs, 0, fx=DETECT)
         frame(vs, 1)
         assert vs.latch_dir == 1 and vs.latch_left == 8
 
         vs = vision()
         frame(vs, 1)
-        for _ in range(gap_max + 1):
+        for _ in range(OBS_GAP_MAX + 1):
             frame(vs, 0, fx=DETECT)
         assert (vs.pend_dir, vs.pend_count, vs.pend_gap) == (0, 0, 0)
         frame(vs, 1)
@@ -102,7 +104,7 @@ class TestUpdateLatch:
         for _ in range(8):
             frame(vs, 0, fx=0.0)
         assert vs.latch_left == 0
-        assert vs.refract_left == round(vs.config.obs_refract / DT) == 4
+        assert vs.refract_left == round(OBS_REFRACT / DT) == 4
         for _ in range(4):
             frame(vs, 1)
         assert vs.latch_left == 0 and vs.refract_left == 0
@@ -126,7 +128,7 @@ class TestUpdateLatch:
     def test_below_deadband_is_no_detection(self):
         vs = vision()
         for _ in range(3):
-            frame(vs, 1, fx=0.5 * vs.config.obs_deadband)
+            frame(vs, 1, fx=0.5 * OBS_DEADBAND)
         assert vs.latch_left == 0 and vs.pend_count == 0
 
 
@@ -144,9 +146,9 @@ class TestFbVerify:
         of the next frame, which is the previous one moved by SHIFT px."""
         vs = vision()
         base = textured(128, 160, 21)
-        vs.prev_pyr = flow.build_pyramid(GrayImage(base), vs.config.levels)
+        vs.prev_pyr = flow.build_pyramid(GrayImage(base), PYR_LEVELS)
         img = GrayImage(shifted(base, *self.SHIFT))
-        return vs, flow.build_pyramid(img, vs.config.levels)
+        return vs, flow.build_pyramid(img, PYR_LEVELS)
 
     def test_consistent_track_survives(self, scene_pair):
         vs, pyr = scene_pair
@@ -158,7 +160,7 @@ class TestFbVerify:
     def test_corrupted_track_dropped(self, scene_pair):
         vs, pyr = scene_pair
         dx, dy = self.SHIFT
-        tol = vs.config.fb_tol
+        tol = FB_TOL
         ff = make_field([(60.0, 50.0, dx + 2 * tol, dy, True),
                          (90.0, 70.0, dx, dy, True)])
         assert vs._fb_verify(np.array([0, 1]), ff, pyr).tolist() == [False, True]
@@ -187,7 +189,6 @@ class TestFbVerify:
 
 def fb_verify_ref(vs, flagged, ff_raw, pyr):
     """_fb_verify as it paired flags with forward vectors by position."""
-    c = vs.config
     raw = {(x, y): (vx, vy) for x, y, vx, vy, ok in rows(ff_raw) if ok}
     items = []
     targets = []
@@ -199,14 +200,12 @@ def fb_verify_ref(vs, flagged, ff_raw, pyr):
         targets.append((x + v[0], y + v[1]))
     if not targets:
         return []
-    back = flow.track(pyr[0], vs.prev_pyr[0], targets,
-                      window=c.window, epsilon=c.epsilon,
-                      max_iters=c.max_iters, levels=c.levels,
+    back = flow.track(pyr[0], vs.prev_pyr[0], targets, levels=PYR_LEVELS,
                       prev_pyr=pyr, next_pyr=vs.prev_pyr)
     out = []
     for (item, v), (bvx, bvy), ok in zip(items, back.disp.tolist(),
                                          back.valid.tolist()):
-        if ok and math.hypot(bvx + v[0], bvy + v[1]) <= c.fb_tol:
+        if ok and math.hypot(bvx + v[0], bvy + v[1]) <= FB_TOL:
             out.append(item)
     return out
 
@@ -215,7 +214,7 @@ def cluster_filter_ref(vs, pts):
     c = vs.config
     if len(pts) < c.min_cluster:
         return []
-    r2 = c.cluster_radius ** 2
+    r2 = CLUSTER_RADIUS ** 2
     kept = []
     for i, (px, py) in enumerate(pts):
         n = sum(1 for j, (qx, qy) in enumerate(pts)
@@ -228,7 +227,7 @@ def cluster_filter_ref(vs, pts):
 class TestClusterFilter:
     def test_isolated_flag_dropped(self):
         vs = vision()
-        r = vs.config.cluster_radius
+        r = CLUSTER_RADIUS
         pts = np.array([(100.0, 100.0), (100.0 + r, 100.0),   # a pair
                         (100.0, 100.0 + r + 1.0)])            # and a loner
         assert vs._cluster_filter(pts).tolist() == [True, True, False]
@@ -275,7 +274,7 @@ def trim_refit_ref(vs, ff, raw):
     c = vs.config
     scored = []
     for x, y, vx, vy, ok in rows(ff):
-        if not ok or math.hypot(vx, vy) < c.min_flow_speed:
+        if not ok or math.hypot(vx, vy) < MIN_FLOW_SPEED:
             continue
         dx = x - raw.x_foe
         dy = y - raw.y_foe
@@ -292,7 +291,7 @@ def trim_refit_ref(vs, ff, raw):
     try:
         return egomotion.estimate_foe(
             FlowField(a[:, :2], a[:, 2:], np.ones(len(a), dtype=bool)),
-            min_speed=c.min_flow_speed)
+            min_speed=MIN_FLOW_SPEED)
     except (InsufficientFlowError, DegenerateGeometryError):
         return raw
 
@@ -347,6 +346,50 @@ class TestFieldSteps:
         assert vs._trim_refit(ff, raw) is raw is trim_refit_ref(vs, ff, raw)
 
 
+class TestOneFitPerField:
+    """update fits the FOE once per distinct field: the obstacle stage
+    reuses the raw-flow fit unless a yaw was subtracted, and falls back to
+    the held estimate when its field fixes no FOE."""
+
+    FITS = (egomotion.FoeEstimate(150.0, 110.0, 1.0, 10),
+            egomotion.FoeEstimate(170.0, 130.0, 1.0, 10))
+
+    def second_update(self, dpsi, fits):
+        vs = vision()
+        base = textured(240, 320, 3)
+        vs.update(GrayImage(base), DT)
+        vs.prev_pts = grid_points(320, 240)
+        fitted, seen = [], []
+
+        def fake_fit(ff):
+            fitted.append(ff)
+            return fits[len(fitted) - 1]
+
+        vs._fit = fake_fit
+        vs._update_obstacle = lambda ff, ff_raw, pyr, foe: seen.append(
+            (ff, ff_raw, foe))
+        ff = vs.update(GrayImage(shifted(base, 2, 1)), DT, dpsi=dpsi)
+        (ff_obs, ff_raw, foe), = seen
+        assert ff_raw is ff
+        return vs, ff, fitted, ff_obs, foe
+
+    def test_no_yaw_reuses_the_fit(self):
+        vs, ff, fitted, ff_obs, foe = self.second_update(0.0, self.FITS)
+        assert len(fitted) == 1 and fitted[0] is ff and ff_obs is ff
+        assert foe is self.FITS[0]
+
+    def test_yaw_refits_the_derotated_field(self):
+        vs, ff, fitted, ff_obs, foe = self.second_update(0.01, self.FITS)
+        assert len(fitted) == 2 and fitted[0] is ff and fitted[1] is ff_obs
+        assert ff_obs is not ff
+        assert foe is self.FITS[1]
+
+    @pytest.mark.parametrize("dpsi", [0.0, 0.01])
+    def test_no_fit_holds_the_estimate(self, dpsi):
+        vs, _, _, _, foe = self.second_update(dpsi, (None, None))
+        assert foe is vs.foe
+
+
 # ---------------------------------------------------------------------------
 # control_step on a stub vision state, road tangent along +x
 # ---------------------------------------------------------------------------
@@ -372,7 +415,7 @@ def step(vs, lat=0.0, psi=0.0, goal=100.0, k=1, psi_d_prev=0.0):
     with the road tangent along +x and the goal `goal` m ahead on it."""
     state = VehicleState(0.0, 0.0, psi, CONFIG.vehicle_params.v_d, 0.0)
     obs = Observation(lat_offset=lat, h_road=0.0, goal=(goal, 0.0))
-    return control_step(CONFIG, CAM, vs, state, psi_d_prev, k, CONFIG.dt, obs)
+    return control_step(CONFIG, CAM, vs, state, psi_d_prev, k, SIM_DT, obs)
 
 
 class TestControlStep:

@@ -193,13 +193,5 @@ class TestTotalForce:
 
 
 class TestParamsValidation:
-    def test_validate_rejects_bad(self):
-        p = RoadFieldParams(depth=-1.0)
-        with pytest.raises(InvalidParameterError):
-            p.validate()
-        p2 = RoadFieldParams(c0_left=1.0)
-        with pytest.raises(InvalidParameterError):
-            p2.validate()
-
     def test_valley_offset(self):
         assert PARAMS.valley_offset == pytest.approx(-1.75)
