@@ -103,8 +103,6 @@ def build_config(args):
         config.weather = args.weather
     if getattr(args, "course", None):
         config.course = args.course
-    if getattr(args, "ttc_raw", False):
-        config.raw_ttc = True
     if getattr(args, "pure_sign", False):
         config.vehicle_params.pure_sign = True
     config.validate()
@@ -223,6 +221,12 @@ def cmd_replay(args):
     prev_delta = controls[0][2]
     for i, fname in enumerate(frames):
         img = imgproc.read_pgm(os.path.join(args.frames, fname))
+        if i == 0:
+            size = (img.width, img.height)
+        elif (img.width, img.height) != size:
+            raise AlignmentError(
+                f"frame {fname} is {img.width}x{img.height} px but "
+                f"{frames[0]} is {size[0]}x{size[1]} px")
         dpsi = 0.0
         if i > 0:
             dpsi = vehicle.yaw_rate(v, prev_delta, params) * dt
@@ -273,8 +277,6 @@ def make_parser():
         p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--weather", choices=("clear", "rain"))
         p.add_argument("--course", help="built-in course name")
-        p.add_argument("--ttc-raw", action="store_true", dest="ttc_raw",
-                       help="sum raw TTC instead of inverse TTC")
         p.add_argument("--pure-sign", action="store_true", dest="pure_sign",
                        help="discontinuous switching law (no boundary layer); "
                             "same as vehicle.pure_sign = true")

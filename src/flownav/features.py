@@ -67,22 +67,22 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
     max_score = resp.max()
     if max_score <= 0.0:
         return np.empty((0, 2))
-    ys, xs = np.nonzero(resp >= quality_level * max_score)
-    # deterministic ordering: score desc, then row/col
-    order = np.lexsort((xs, ys, -resp[ys, xs]))
-    ys, xs = ys[order], xs[order]
-
-    # prefilter: keep only the best candidate per cell of side
-    # min_distance/sqrt(2) — any two points in such a cell conflict anyway,
-    # so this is exactly equivalent to the full greedy suppression
+    # prefilter: keep only the best pixel of each cell of side
+    # min_distance/sqrt(2), anchored at (0, 0), ties to the lowest row, then
+    # the lowest column — any two points in such a cell conflict anyway, so
+    # this is exactly equivalent to the full greedy suppression
     pre = max(1, int(min_distance / math.sqrt(2.0)))
-    if pre > 1 and len(xs) > 1:
-        key = (ys // pre).astype(np.int64) * (img.width // pre + 2) + xs // pre
-        perm = np.argsort(key, kind="stable")
-        first = np.ones(len(perm), dtype=bool)
-        first[1:] = key[perm][1:] != key[perm][:-1]
-        keep = np.sort(perm[first])
-        ys, xs = ys[keep], xs[keep]
+    h, w = resp.shape
+    nh, nw = -(-h // pre), -(-w // pre)
+    cells = np.pad(resp, ((0, nh * pre - h), (0, nw * pre - w)))
+    cells = cells.reshape(nh, pre, nw, pre).swapaxes(1, 2).reshape(nh, nw, -1)
+    arg, best = cells.argmax(axis=2), cells.max(axis=2)
+    cy, cx = np.nonzero(best >= quality_level * max_score)
+    arg = arg[cy, cx]
+    ys, xs = cy * pre + arg // pre, cx * pre + arg % pre
+    # deterministic ordering: score desc, then row/col
+    order = np.lexsort((xs, ys, -best[cy, cx]))
+    ys, xs = ys[order], xs[order]
 
     # greedy NMS on a coarse occupancy grid, over Python ints (numpy
     # scalars would make each step of the loop several times slower)

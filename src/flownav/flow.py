@@ -85,6 +85,7 @@ def _sample(data, xs, ys):
     right = flat.take(idx, mode="clip")
     right *= fx
     rows += right
+    del idx, right
     # window row j of point i blends source rows y0 and y1, found at
     # (y - first) * m + i in the (win+2)*m stacked rows
     rows = rows.reshape(-1, win)
@@ -151,7 +152,6 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
     pyr_prev = prev_pyr if prev_pyr is not None else build_pyramid(prev, levels)
     pyr_next = next_pyr if next_pyr is not None else build_pyramid(next_, levels)
-    grads = [imgproc.spatial_gradient(p) for p in pyr_prev]
 
     r = window // 2
     offs = np.arange(-r, r + 1, dtype=np.float32)
@@ -167,7 +167,8 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
         # product to float64 anyway, so the blend sees the same values
         data_p, data_n, gx, gy = (
             a.astype(np.float32).astype(np.float64)
-            for a in (pyr_prev[lvl].data, pyr_next[lvl].data, *grads[lvl]))
+            for a in (pyr_prev[lvl].data, pyr_next[lvl].data,
+                      *imgproc.spatial_gradient(pyr_prev[lvl])))
         h, w = data_p.shape
 
         cx = (px / scale).astype(np.float32)
@@ -202,10 +203,11 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
         dv = d[idx].astype(np.float32)
         done = np.zeros(len(idx), dtype=bool)
         # working set of the points still iterating, compacted only when
-        # some of them converge
+        # some of them converge (nothing writes into it, so it may alias)
         a = np.nonzero(good)[0]
-        ws = [x[a] for x in (sx, sy, patch_p, patch_gx, patch_gy,
-                             g11, g12, g22, det)]
+        ws = [sx, sy, patch_p, patch_gx, patch_gy, g11, g12, g22, det]
+        if not good.all():
+            ws = [x[a] for x in ws]
         for _ in range(max_iters):
             if not a.size:
                 break

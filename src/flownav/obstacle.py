@@ -7,7 +7,7 @@ Features whose radial flow overshoots that prediction sit closer than the
 ground at their row; an Otsu split over the overshoots flags them as
 obstacle-induced. The repulsive force reads a bool plane of disks around the
 flags (see _splat). Its lateral part, the blurred plane's x-gradient summed
-over a band of rows, is f_x = -gamma/area * u^T plane v: v is a lateral ramp
+over a band of rows, is f_x = -1/area * u^T plane v: v is a lateral ramp
 (|v| <= 0.017) with -/+0.496 spikes at the border columns, where the blur
 clamps, and u weighs the clamped bottom and top rows most.
 """
@@ -149,26 +149,29 @@ def force_weights(h, w, y0):
     return u, v
 
 
-def repulsive_force(points, ttc, plane, y0, gamma=1.0, ttc_min=0.5,
-                    raw_ttc=False):
-    """Lateral push off the bool obstacle plane (h, w) and the TTC urgency
-    of points (K, 2) with TTCs ttc (K,), both over rows y0..h-1.
+def repulsive_force(points, ttc, width, height, ttc_min=0.5):
+    """Lateral push and TTC urgency of the flagged points (K, 2), in image
+    px of a width x height frame, with TTCs ttc (K,).
 
-    f_x = -gamma/area * u^T plane v (force_weights), area = w * (h - y0),
-    steers toward +x when positive. On the 30 x 40 plane with y0 = 12, v
-    ramps over columns 1-38 (|v| <= 0.017) with spikes of -/+0.496 at
-    columns 0 and 39; u weighs rows 12-28 0.39-0.45, row 29 5.52, rows 1-11
-    0.21-0.38 and row 0 1.85. f_y sums inverse TTC (raw_ttc: plain TTC).
+    The points become disks of SPLAT_RADIUS on a bool plane (h, w) at 1/DECIM
+    scale, banded to rows y0 = ROI_TOP/DECIM .. h-1. f_x = -1/area * u^T
+    plane v (force_weights), area = w * (h - y0), steers toward +x when
+    positive. On the 30 x 40 plane of a 320 x 240 frame, y0 = 12, v ramps
+    over columns 1-38 (|v| <= 0.017) with spikes of -/+0.496 at columns 0
+    and 39; u weighs rows 12-28 0.39-0.45, row 29 5.52, rows 1-11 0.21-0.38
+    and row 0 1.85. f_y sums the band's inverse TTCs, floored at ttc_min.
     """
+    pts = points / DECIM
+    plane = _splat(width // DECIM, height // DECIM, pts, SPLAT_RADIUS / DECIM)
+    y0 = ROI_TOP // DECIM
     h, w = plane.shape
     area = max(w * (h - y0), 1)
     u, v = force_weights(h, w, y0)
-    fx = -gamma / area * float(u @ plane @ v)
-    x, y = points[:, 0], points[:, 1]
-    t = ttc[(0 <= x) & (x < w) & (y0 <= y) & (y < h)]
-    if not raw_ttc:
-        t = 1.0 / np.maximum(t, ttc_min)
+    fx = -1.0 / area * float(u @ plane @ v)
+    x, y = pts[:, 0], pts[:, 1]
+    t = 1.0 / np.maximum(ttc[(0 <= x) & (x < w) & (y0 <= y) & (y < h)],
+                         ttc_min)
     # summed left to right, in the order of points
     urgency = float(np.cumsum(t)[-1]) if len(t) else 0.0
-    fy = gamma / area * urgency
+    fy = 1.0 / area * urgency
     return RepulsiveForce(fx, fy)

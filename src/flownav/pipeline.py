@@ -41,7 +41,6 @@ class PipelineConfig:
     # obstacle repulsion
     ttc_min: float = 0.5
     k_img: float = 1.5e8
-    raw_ttc: bool = False
     obs_slow: float = 6000.0      # speed cut per unit of gated lateral force
     obs_hold: float = 4.0         # s; dwell of a committed avoidance
     obs_latch_fx: float = 5.0e-5  # image-frame lateral force while committed
@@ -224,7 +223,6 @@ class VisionState:
     def _update_obstacle(self, ff, ff_raw, pyr, foe):
         """Segment ff (ff_raw derotated) about foe, filter the flags and
         fold their repulsion into the force EMA."""
-        c = self.config
         ttc = egomotion.compute_ttc(ff, foe)
         mask = obstacle.segment_obstacles(ff, foe, ttc,
                                           min_residual=MIN_RESIDUAL)
@@ -239,12 +237,8 @@ class VisionState:
             self.obs_fx *= OBS_DECAY
             self.obs_fy *= OBS_DECAY
             return
-        d = obstacle.DECIM
-        pts_c = pts / d
-        plane_c = obstacle._splat(self.cam.width // d, self.cam.height // d,
-                                  pts_c, obstacle.SPLAT_RADIUS / d)
-        f = obstacle.repulsive_force(pts_c, ttc, plane_c, obstacle.ROI_TOP // d,
-                                     ttc_min=c.ttc_min, raw_ttc=c.raw_ttc)
+        f = obstacle.repulsive_force(pts, ttc, self.cam.width, self.cam.height,
+                                     ttc_min=self.config.ttc_min)
         self.inst_sign = 1 if f.f_x > 0 else (-1 if f.f_x < 0 else 0)
         a = OBS_ATTACK
         self.obs_fx = (1 - a) * self.obs_fx + a * f.f_x

@@ -1,18 +1,10 @@
 """Run-trace records, the versioned trace-v1 CSV format, and run summaries."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import AlignmentError
 
 TRACE_VERSION = "trace-v1"
-TRACE_COLUMNS = [
-    "t", "x", "y", "psi", "v", "delta_f",
-    "foe_x", "foe_y",
-    "f_att_x", "f_att_y", "f_obs_x", "f_obs_y", "f_road_x", "f_road_y",
-    "f_tot_x", "f_tot_y",
-    "s_r", "s_l", "u", "a",
-    "lat_offset", "clearance",
-]
 
 
 @dataclass
@@ -42,6 +34,9 @@ class TraceRow:
 
     def values(self):
         return [getattr(self, c) for c in TRACE_COLUMNS]
+
+
+TRACE_COLUMNS = [f.name for f in fields(TraceRow)]
 
 
 def _fmt(v):

@@ -54,7 +54,7 @@ def test_no_subcommand_is_usage_error(capsys):
     "no_such_knob = 1\n",           # unknown key
     "vehicle.no_such_knob = 1\n",   # unknown key in a namespace
     "max_steps 30\n",               # line without '='
-    "raw_ttc = maybe\n",            # bad boolean
+    "raw_ttc = maybe\n",            # a deleted key (see below)
     "vehicle.pure_sign = 2\n",      # bad boolean in a namespace
     "max_steps = abc\n",            # bad int
     "lookahead = fast\n",           # bad float
@@ -68,6 +68,15 @@ def test_bad_config_is_usage_error(capsys, tmp_path, text):
     rc = _run(capsys, ["baseline", "--config", cfg, "--out", tmp_path / "o"])
     assert rc == USAGE_EXIT
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_raw_ttc_law_is_gone(capsys, tmp_path):
+    # one TTC law: neither the old flag nor the old key selects another
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("raw_ttc = true\n")
+    for argv in (["--ttc-raw"], ["--config", cfg]):
+        assert _run(capsys, ["baseline", "--out", tmp_path] + argv) \
+            == USAGE_EXIT
 
 
 def test_bad_value_names_its_key(capsys, tmp_path):
@@ -103,6 +112,24 @@ def test_replay_timestamps_must_increase(capsys, tmp_path, recording):
     controls.write_text("0.5,0.0,0.0\n" * N_FRAMES)
     assert _run(capsys, ["replay", frames, controls, "--out", tmp_path]) \
         == RUNTIME_EXIT
+
+
+def test_replay_names_a_frame_of_another_size(capsys, tmp_path, recording):
+    frames, _ = recording
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    for name in ("000.pgm", "001.pgm"):
+        (odd / name).write_bytes((frames / name).read_bytes())
+    short = imgproc.read_pgm(str(frames / "002.pgm")).data[:200]
+    imgproc.write_pgm(imgproc.GrayImage(short), str(odd / "002.pgm"))
+    controls = tmp_path / "c.csv"
+    controls.write_text("".join(f"{i * pipeline.DT!r},0.0,0.0\n"
+                                for i in range(3)))
+    rc = cli.main(["replay", str(odd), str(controls), "--out", str(tmp_path)])
+    assert rc == RUNTIME_EXIT
+    err = capsys.readouterr().err
+    assert "002.pgm is 320x200 px but 000.pgm is 320x240 px" in err
+    assert not (tmp_path / "replay.csv").exists()
 
 
 @pytest.mark.parametrize("steps", [
@@ -282,7 +309,7 @@ def _at_defaults(**overrides):
     values = {key: getattr(config, key) for key in config.scalar_keys()}
     values.update({f"vehicle.{f.name}": getattr(config.vehicle_params, f.name)
                    for f in dataclasses.fields(config.vehicle_params)})
-    assert len(values) == 27
+    assert len(values) == 26
     values.update(overrides)
     return "".join(f"{key} = {v if isinstance(v, str) else repr(v)}\n"
                    for key, v in values.items())

@@ -198,3 +198,33 @@ def test_detect_corners_matches_numpy_scalar_loop(course, weather, s):
         assert len(got) > 10
         assert got.dtype == np.float64
         assert np.array_equal(got, detect_corners_ref(img, **kwargs))
+
+
+def _textured(h, w, seed=3):
+    """Smooth random texture: a blocky random field, blurred."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.random((h // 6 + 2, w // 6 + 2))
+    return np.kron(coarse, np.ones((6, 6)))[:h, :w] + 0.05 * rng.random((h, w))
+
+
+@pytest.mark.parametrize("case",
+                         ["row_range", "ties", "min_distance_2", "nan"])
+def test_detect_corners_matches_reference_at_edges(case, monkeypatch):
+    # cells that overhang the image, exact ties inside a cell, cells of one
+    # pixel, and a NaN response (no candidates on either side)
+    img = GrayImage(_textured(90, 130))
+    kwargs = {"max_corners": 400}
+    if case == "row_range":
+        kwargs["row_range"] = (5, 83)
+    elif case == "ties":
+        levels = np.random.default_rng(4).integers(0, 3, (90, 130))
+        monkeypatch.setattr(features, "corner_response",
+                            lambda im: levels[:im.height, :im.width] * 1.0)
+    elif case == "min_distance_2":
+        kwargs["min_distance"] = 2
+    else:
+        img.data[40, 60] = np.nan
+    got = features.detect_corners(img, **kwargs)
+    ref = detect_corners_ref(img, **kwargs)
+    assert np.array_equal(got, ref)
+    assert (len(got) == 0) == (case == "nan")

@@ -122,25 +122,23 @@ class TestForceWeights:
 
     @pytest.mark.parametrize("h,w,y0", SHAPES)
     def test_matches_blur_gradient_chain(self, h, w, y0):
-        none = (np.empty((0, 2)), np.empty(0))
+        u, v = obstacle.force_weights(h, w, y0)
         for plane in random_planes(np.random.default_rng(h), (h, w), 250):
-            f = obstacle.repulsive_force(*none, plane, y0, gamma=2.0)
-            ref = -2.0 / (w * (h - y0)) * gradient_sum_ref(plane, y0)
-            assert f.f_x == pytest.approx(ref, rel=1e-10, abs=1e-16)
+            assert float(u @ plane @ v) == pytest.approx(
+                gradient_sum_ref(plane, y0), rel=1e-10, abs=1e-14)
 
     @pytest.mark.parametrize("h,w,y0", SHAPES)
     def test_empty_plane_zero(self, h, w, y0):
-        f = obstacle.repulsive_force(np.empty((0, 2)), np.empty(0),
-                                     np.zeros((h, w), dtype=bool), y0)
-        assert f.f_x == 0.0 and f.f_y == 0.0
+        u, v = obstacle.force_weights(h, w, y0)
+        assert float(u @ np.zeros((h, w), dtype=bool) @ v) == 0.0
 
     @pytest.mark.parametrize("h,w,y0", SHAPES)
     def test_mirrored_plane_negates(self, h, w, y0):
-        none = (np.empty((0, 2)), np.empty(0))
+        u, v = obstacle.force_weights(h, w, y0)
         for plane in random_planes(np.random.default_rng(w), (h, w), 50):
-            f = obstacle.repulsive_force(*none, plane, y0).f_x
-            g = obstacle.repulsive_force(*none, plane[:, ::-1], y0).f_x
-            assert g == pytest.approx(-f, rel=1e-12, abs=1e-15)
+            f = float(u @ plane @ v)
+            g = float(u @ plane[:, ::-1] @ v)
+            assert g == pytest.approx(-f, rel=1e-12, abs=1e-13)
 
     def test_cached_read_only(self):
         u, v = obstacle.force_weights(30, 40, 12)
@@ -158,54 +156,57 @@ class TestForceWeights:
 
 
 class TestRepulsiveForce:
-    def _blob(self, cx):
-        """(plane, points, ttc) of one blob centred at column cx."""
-        plane = np.zeros((120, 160), dtype=bool)
-        plane[50:70, cx - 10:cx + 10] = True
-        return plane, np.array([[float(cx), 60.0]]), np.array([2.0])
+    """Flags in image px of a 320 x 240 frame: a 40 x 30 plane banded to
+    rows 12-29, so area = 40 * 18."""
 
-    def force(self, cx, y0=0, **kw):
-        plane, pts, ttc = self._blob(cx)
-        return obstacle.repulsive_force(pts, ttc, plane, y0, **kw)
+    AREA = 40 * 18
+
+    def force(self, x, y=180.0, ttc=2.0, **kw):
+        return obstacle.repulsive_force(np.array([[x, y]]), np.array([ttc]),
+                                        320, 240, **kw)
+
+    def test_no_points_zero(self):
+        f = obstacle.repulsive_force(np.empty((0, 2)), np.empty(0), 320, 240)
+        assert f.f_x == 0.0 and f.f_y == 0.0
 
     def test_left_obstacle_pushes_right(self):
-        f = self.force(40)
+        f = self.force(80.0)
         assert f.f_x > 0
         assert f.f_y > 0
 
     def test_right_obstacle_pushes_left(self):
-        f = self.force(120)
+        f = self.force(240.0)
         assert f.f_x < 0
 
     def test_urgency_inverse_ttc(self):
-        area = 160 * 120
-        f = self.force(80, gamma=3.0, ttc_min=0.5)
-        assert f.f_y == pytest.approx(3.0 / area * (1.0 / 2.0))
-
-    def test_raw_ttc_mode(self):
-        f = self.force(80, gamma=1.0, raw_ttc=True)
-        assert f.f_y == pytest.approx(2.0 / (160 * 120))
+        f = self.force(160.0, ttc_min=0.5)
+        assert f.f_y == pytest.approx(1.0 / self.AREA * (1.0 / 2.0))
 
     def test_ttc_floor(self):
-        plane = np.zeros((120, 160), dtype=bool)
-        plane[60, 80] = True
-        f = obstacle.repulsive_force(np.array([[80.0, 60.0]]), np.array([0.01]),
-                                     plane, 0, ttc_min=0.5)
-        assert f.f_y == pytest.approx(1.0 / 0.5 / (160 * 120))
+        f = self.force(160.0, ttc=0.01, ttc_min=0.5)
+        assert f.f_y == pytest.approx(1.0 / 0.5 / self.AREA)
 
     def test_roi_excludes_points(self):
-        # the point sits on row 60: rows from 61 down leave it out, rows
-        # from 60 down take it in, over an area of 160 x (120 - y0)
-        f = self.force(40, y0=61)
+        # the band starts at plane row 12, image row 96: a flag just above
+        # it adds no urgency but its disk still pushes; past the right
+        # edge, a flag adds none either
+        f = self.force(80.0, y=95.9)
         assert f.f_y == 0.0 and f.f_x > 0
-        f = self.force(40, y0=60)
-        assert f.f_y == pytest.approx(1.0 / 2.0 / (160 * 60))
+        f = self.force(80.0, y=96.0)
+        assert f.f_y == pytest.approx(1.0 / 2.0 / self.AREA)
+        assert self.force(320.0).f_y == 0.0
 
-    def test_gamma_scales_linearly(self):
-        f1 = self.force(40, gamma=1.0)
-        f2 = self.force(40, gamma=2.5)
-        assert f2.f_x == pytest.approx(2.5 * f1.f_x)
-        assert f2.f_y == pytest.approx(2.5 * f1.f_y)
+    def test_matches_blur_gradient_chain_on_disks(self):
+        # f_x of the flags equals the blur-and-gradient chain over the
+        # windowed-loop disks of radius 12 px / 8
+        rng = np.random.default_rng(5)
+        for k in (1, 3, 12):
+            pts = rng.uniform((-10.0, 60.0), (330.0, 250.0), (k, 2))
+            f = obstacle.repulsive_force(pts, np.full(k, 2.0), 320, 240)
+            plane = splat_ref(40, 30, pts / 8, 1.5)
+            ref = -1.0 / self.AREA * gradient_sum_ref(plane, 12)
+            assert plane.any() and f.f_x == pytest.approx(ref, rel=1e-10,
+                                                          abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +253,12 @@ def flag_ref(ff, foe, ttc_entries, min_residual=0.0, ttc_default=100.0):
     return flagged
 
 
-def urgency_ref(points, ttc, roi, ttc_min=0.5, raw_ttc=False):
+def urgency_ref(points, ttc, roi, ttc_min=0.5):
     x0, y0, x1, y1 = roi
     urgency = 0.0
     for (x, y), t in zip(points.tolist(), ttc.tolist()):
         if x0 <= x < x1 and y0 <= y < y1:
-            urgency += t if raw_ttc else 1.0 / max(t, ttc_min)
+            urgency += 1.0 / max(t, ttc_min)
     return urgency
 
 
@@ -321,17 +322,15 @@ def test_flagging_matches_vector_loop(ttc_max, min_residual):
     assert 100.0 in mask.ttc.tolist() and ttc_max in mask.ttc.tolist()
 
 
-@pytest.mark.parametrize("raw_ttc", [False, True])
-def test_urgency_matches_sequential_loop(raw_ttc):
+def test_urgency_matches_sequential_loop():
     rng = np.random.default_rng(9)
-    pts = rng.uniform(0, 40, (40, 2))
+    pts = rng.uniform(0, 40, (40, 2))      # plane cells; x8 is exact
     ttc = np.exp(rng.uniform(np.log(0.3), np.log(50), 40))
-    plane = np.zeros((30, 40), dtype=bool)
-    f = obstacle.repulsive_force(pts, ttc, plane, 12, gamma=1.0, raw_ttc=raw_ttc)
-    ref = urgency_ref(pts, ttc, (0, 12, 40, 30), raw_ttc=raw_ttc)
+    f = obstacle.repulsive_force(pts * obstacle.DECIM, ttc, 320, 240)
+    ref = urgency_ref(pts, ttc, (0, 12, 40, 30))
     area = (40 - 0) * (30 - 12)
     assert f.f_y == 1.0 / area * ref
     # a pairwise sum of the same terms rounds differently on this data
     inside = (pts[:, 1] >= 12) & (pts[:, 1] < 30)
-    terms = ttc[inside] if raw_ttc else 1.0 / np.maximum(ttc[inside], 0.5)
+    terms = 1.0 / np.maximum(ttc[inside], 0.5)
     assert len(terms) >= 8 and float(np.sum(terms)) != ref
