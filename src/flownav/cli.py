@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -124,8 +125,12 @@ def cmd_flow(args):
     build_config(args)  # a bad --config is a usage error here too
     prev = imgproc.read_pgm(args.prev)
     next_ = imgproc.read_pgm(args.next)
-    pts = pipeline.detect_features(prev)
-    ff = flow.track(prev, next_, pts, levels=pipeline.PYR_LEVELS)
+    _check_size(next_.shape, prev.shape, args.next, args.prev)
+    grad = imgproc.spatial_gradient(prev)
+    ff = flow.track(flow.build_pyramid(prev, grad, pipeline.PYR_LEVELS),
+                    flow.build_pyramid(next_, imgproc.spatial_gradient(next_),
+                                       pipeline.PYR_LEVELS),
+                    pipeline.detect_features(grad))
     foe = None
     try:
         foe = egomotion.estimate_foe(ff, min_speed=pipeline.MIN_FLOW_SPEED)
@@ -138,12 +143,18 @@ def cmd_flow(args):
         lines.append(f"{x:.9g},{y:.9g},{vx:.9g},{vy:.9g},{int(ok)}")
     _write(os.path.join(out, "flow.csv"), "\n".join(lines) + "\n")
     _write(os.path.join(out, "flow.svg"),
-           svgplot.flow_svg(ff, prev.width, prev.height, foe=foe))
+           svgplot.flow_svg(ff, prev.shape[1], prev.shape[0], foe=foe))
     print(f"tracked {int(ff.valid.sum())}/{len(ff.pts)} points", end="")
     if foe is not None:
         print(f", FOE ({foe.x_foe:.1f}, {foe.y_foe:.1f})", end="")
     print()
     return 0
+
+
+def _check_size(shape, want, name, ref):
+    if shape != want:
+        raise AlignmentError(f"frame {name} is {shape[1]}x{shape[0]} px but "
+                             f"{ref} is {want[1]}x{want[0]} px")
 
 
 def _report_run(rows, summary, world, out):
@@ -178,9 +189,14 @@ def read_controls(path):
             parts = line.split(",")
             if parts[0].strip().lower() == "t":
                 continue
-            if len(parts) != 3:
-                raise AlignmentError(f"controls row needs t,a,delta: {line!r}")
-            rows.append(tuple(float(p) for p in parts))
+            try:
+                row = tuple(float(p) for p in parts)
+            except ValueError:
+                row = ()
+            if len(row) != 3 or not all(map(math.isfinite, row)):
+                raise AlignmentError(f"control row {len(rows) + 1} needs three "
+                                     f"finite numbers t,a,delta: {line!r}")
+            rows.append(row)
     return rows
 
 
@@ -222,11 +238,8 @@ def cmd_replay(args):
     for i, fname in enumerate(frames):
         img = imgproc.read_pgm(os.path.join(args.frames, fname))
         if i == 0:
-            size = (img.width, img.height)
-        elif (img.width, img.height) != size:
-            raise AlignmentError(
-                f"frame {fname} is {img.width}x{img.height} px but "
-                f"{frames[0]} is {size[0]}x{size[1]} px")
+            size = img.shape
+        _check_size(img.shape, size, fname, frames[0])
         dpsi = 0.0
         if i > 0:
             dpsi = vehicle.yaw_rate(v, prev_delta, params) * dt

@@ -13,14 +13,14 @@ WINDOW_RADIUS = 2
 BORDER_MARGIN = 3
 
 
-def corner_response(img):
-    """Min eigenvalue of the gradient structure tensor at every pixel."""
-    gx, gy = imgproc.spatial_gradient(img)
+def corner_response(gx, gy):
+    """Min eigenvalue of the structure tensor of gradient (gx, gy) at every
+    pixel."""
     k = imgproc.gaussian_kernel(WINDOW_SIGMA, WINDOW_RADIUS)
 
     def win(a):
-        out = imgproc.convolve(imgproc.GrayImage(a), k, "horizontal")
-        return imgproc.convolve(out, k, "vertical").data
+        out = imgproc.convolve(a, k, "horizontal")
+        return imgproc.convolve(out, k, "vertical")
 
     sxx = win(gx * gx)
     sxy = win(gx * gy)
@@ -31,16 +31,19 @@ def corner_response(img):
     return np.maximum(lam_min, 0.0)
 
 
-def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
+def detect_corners(grad, max_corners=400, quality_level=0.005, min_distance=7,
                    row_range=None):
-    """Select strong, well-separated corners, sorted by descending score.
+    """Select strong, well-separated corners of the image whose gradient is
+    grad = (gx, gy), sorted by descending score.
 
     Returns an (N, 2) float64 array of (x, y) pixel positions.
 
     row_range optionally limits detection to rows [lo, hi) — e.g. to skip a
     featureless sky band.
     """
-    if img.width < 7 or img.height < 7:
+    gx, gy = grad
+    h, w = gx.shape
+    if w < 7 or h < 7:
         raise InvalidParameterError("image must be at least 7x7")
     if not 0.0 < quality_level <= 1.0:
         raise InvalidParameterError("quality_level must be in (0, 1]")
@@ -48,15 +51,15 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
     m = BORDER_MARGIN
     if row_range is not None:
         # evaluate the response only on the padded row band; the response at
-        # a pixel depends on a 3-px neighbourhood, so a 5-px pad is exact
-        lo, hi = max(row_range[0], 0), min(row_range[1], img.height)
+        # a pixel reads the gradient within 2 px, so a 5-px pad is exact
+        lo, hi = max(row_range[0], 0), min(row_range[1], h)
         pad = 5
         y_off = max(lo - pad, 0)
-        sub = corner_response(imgproc.GrayImage(img.data[y_off:hi + pad]))
-        resp = np.zeros((img.height, img.width))
+        sub = corner_response(gx[y_off:hi + pad], gy[y_off:hi + pad])
+        resp = np.zeros((h, w))
         resp[y_off:y_off + sub.shape[0]] = sub
     else:
-        resp = corner_response(img)
+        resp = corner_response(gx, gy)
     mask = np.zeros_like(resp, dtype=bool)
     mask[m:-m, m:-m] = True
     if row_range is not None:
@@ -72,7 +75,6 @@ def detect_corners(img, max_corners=400, quality_level=0.005, min_distance=7,
     # the lowest column — any two points in such a cell conflict anyway, so
     # this is exactly equivalent to the full greedy suppression
     pre = max(1, int(min_distance / math.sqrt(2.0)))
-    h, w = resp.shape
     nh, nw = -(-h // pre), -(-w // pre)
     cells = np.pad(resp, ((0, nh * pre - h), (0, nw * pre - w)))
     cells = cells.reshape(nh, pre, nw, pre).swapaxes(1, 2).reshape(nh, nw, -1)

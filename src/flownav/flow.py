@@ -10,7 +10,6 @@ from .errors import InvalidParameterError
 
 PYRAMID_SIGMA = 1.0
 MIN_EIGEN = 1e-6
-_NEG_ZERO = np.float64(-0.0).view(np.int64)   # its bits, as an int64
 
 
 @dataclass
@@ -33,20 +32,25 @@ class FlowField:
         return rec
 
 
-def build_pyramid(img, levels):
-    """Level 0 is the input; each next level is smoothed and halved (floor)."""
+def build_pyramid(img, grad, levels):
+    """Pyramid of img, whose gradient is grad = (gx, gy): a tuple of
+    `levels` triples (image, gx, gy), finest first, each array kept as the
+    float32 rounding that LK samples. Level 0 is the input; each next level
+    is smoothed and halved (floor), and its gradient taken."""
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
-    pyr = [img]
-    for _ in range(1, levels):
-        prev = pyr[-1]
-        nw, nh = prev.width // 2, prev.height // 2
-        if nw < 16 or nh < 16:
-            raise InvalidParameterError(
-                f"level {len(pyr)} would be {nw}x{nh}; coarsest level must be >= 16x16")
-        sm = imgproc.smooth(prev, PYRAMID_SIGMA, radius=2)
-        pyr.append(imgproc.GrayImage(np.ascontiguousarray(sm.data[: 2 * nh : 2, : 2 * nw : 2])))
-    return pyr
+    pyr = []
+    for lvl in range(levels):
+        if lvl:
+            nh, nw = img.shape[0] // 2, img.shape[1] // 2
+            if nw < 16 or nh < 16:
+                raise InvalidParameterError(
+                    f"level {lvl} would be {nw}x{nh}; coarsest level must be >= 16x16")
+            sm = imgproc.smooth(img, PYRAMID_SIGMA, radius=2)
+            img = np.ascontiguousarray(sm[: 2 * nh : 2, : 2 * nw : 2])
+            grad = imgproc.spatial_gradient(img)
+        pyr.append(tuple(a.astype(np.float32) for a in (img, *grad)))
+    return tuple(pyr)
 
 
 def _axis(c, n):
@@ -58,7 +62,8 @@ def _axis(c, n):
 
 
 def _sample(data, xs, ys):
-    """Clamped bilinear samples of a float64 image on per-point grids.
+    """Clamped bilinear samples of an image on per-point grids, blended in
+    float64 (a float32 pixel widens to float64 exactly).
 
     xs (m, win) holds each point's window-column x and ys (m, win) its
     window-row y, both float32 and increasing in steps of about 1 px.
@@ -79,13 +84,15 @@ def _sample(data, xs, ys):
     # past the bottom edge clip to the last pixel and are never picked
     idx = (first * w + x0) + (np.arange(win + 2) * w)[:, None, None]
     flat = data.ravel()
-    rows = flat.take(idx, mode="clip")
+    rows = flat.take(idx, mode="clip").astype(np.float64, copy=False)
     rows *= 1 - fx
     idx += x1 - x0
     right = flat.take(idx, mode="clip")
+    del idx
+    right = right.astype(np.float64, copy=False)
     right *= fx
     rows += right
-    del idx, right
+    del right
     # window row j of point i blends source rows y0 and y1, found at
     # (y - first) * m + i in the (win+2)*m stacked rows
     rows = rows.reshape(-1, win)
@@ -108,9 +115,9 @@ def _whole_pixel_corners(cx, cy, r):
 
 
 def _patches(data, xs, ys, corners):
-    """Window samples of data exactly as _sample(data, xs, ys) gives them,
-    read straight from the pixels when the windows sit on whole pixels
-    (`corners`, see _whole_pixel_corners) and that is exact.
+    """Window samples of data exactly as _sample(data, xs, ys) gives them
+    (float64), read straight from the pixels when the windows sit on whole
+    pixels (`corners`, see _whole_pixel_corners) and that is exact.
 
     With zero fractions _sample blends (T*1 + T'*0)*1 + (...)*0, which is T
     unless T is -0.0 (a +0.0 term makes it +0.0) or a neighbour it reads is
@@ -118,21 +125,21 @@ def _patches(data, xs, ys, corners):
     sampled.
     """
     if (corners is not None and np.isfinite(data).all()
-            and not (data.view(np.int64) == _NEG_ZERO).any()):
+            and not (np.signbit(data) & (data == 0)).any()):
         m, win = xs.shape
-        return sliding_window_view(data, (win, win))[corners].reshape(m, win * win)
+        return sliding_window_view(data, (win, win))[corners].reshape(
+            m, win * win).astype(np.float64, copy=False)
     return _sample(data, xs, ys)
 
 
-def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
-          frame_interval=1.0 / 60.0, prev_pyr=None, next_pyr=None):
-    """Coarse-to-fine iterative LK solve for each of points, an (N, 2) array
-    of (x, y); returns a FlowField over them in the same order.
+def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
+          frame_interval=1.0 / 60.0):
+    """Coarse-to-fine iterative LK solve, from the image of prev_pyr to that
+    of next_pyr (see build_pyramid), for each of points, an (N, 2) array of
+    (x, y); returns a FlowField over them in the same order.
 
     Points whose window leaves the finest image, or whose normal matrix is
-    near-singular, or that fail to converge, are marked invalid. Callers that
-    track consecutive frames may pass precomputed pyramids to avoid
-    rebuilding them.
+    near-singular, or that fail to converge, are marked invalid.
 
     Sampling is separable in its coordinates: a window sample's x depends
     only on its column and its y only on its row, so coordinates, floors and
@@ -140,8 +147,9 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
     level 0, windows centred on whole pixels (the forward call's corners)
     are read straight from the pixels (see _patches).
     """
-    if prev.width != next_.width or prev.height != next_.height:
-        raise InvalidParameterError("frame dimensions differ")
+    levels = len(prev_pyr)
+    if len(next_pyr) != levels or prev_pyr[0][0].shape != next_pyr[0][0].shape:
+        raise InvalidParameterError("pyramids differ in frame size or depth")
     if window % 2 == 0:
         raise InvalidParameterError("window must be odd")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
@@ -149,9 +157,6 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
     if not n:
         return FlowField(points, np.zeros((0, 2)), np.zeros(0, dtype=bool),
                          frame_interval)
-
-    pyr_prev = prev_pyr if prev_pyr is not None else build_pyramid(prev, levels)
-    pyr_next = next_pyr if next_pyr is not None else build_pyramid(next_, levels)
 
     r = window // 2
     offs = np.arange(-r, r + 1, dtype=np.float32)
@@ -163,13 +168,7 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
 
     for lvl in range(levels - 1, -1, -1):
         scale = 2.0 ** lvl
-        # float32 pixels, widened once: the float64 fractions promote every
-        # product to float64 anyway, so the blend sees the same values
-        data_p, data_n, gx, gy = (
-            a.astype(np.float32).astype(np.float64)
-            for a in (pyr_prev[lvl].data, pyr_next[lvl].data,
-                      *imgproc.spatial_gradient(pyr_prev[lvl])))
-        h, w = data_p.shape
+        h, w = prev_pyr[lvl][0].shape
 
         cx = (px / scale).astype(np.float32)
         cy = (py / scale).astype(np.float32)
@@ -187,8 +186,9 @@ def track(prev, next_, points, window=25, epsilon=0.03, max_iters=30, levels=3,
         sy = cy[idx, None] + offs[None, :]    # (m, win): y of each row
         # level 0 of the forward call holds whole-pixel corners
         corners = _whole_pixel_corners(cx[idx], cy[idx], r) if lvl == 0 else None
-        patch_p, patch_gx, patch_gy = (        # (m, win*win)
-            _patches(a, sx, sy, corners) for a in (data_p, gx, gy))
+        patch_p, patch_gx, patch_gy = (        # (m, win*win), float64
+            _patches(a, sx, sy, corners) for a in prev_pyr[lvl])
+        data_n = next_pyr[lvl][0]
 
         g11 = np.sum(patch_gx * patch_gx, axis=1)
         g12 = np.sum(patch_gx * patch_gy, axis=1)

@@ -1,13 +1,11 @@
-"""Dense image primitives: grayscale rasters, separable convolution, Gaussian
-kernels, spatial gradients, Otsu thresholding and PGM file I/O.
+"""Dense image primitives: separable convolution, Gaussian kernels, spatial
+gradients, Otsu thresholding and PGM file I/O.
 
-Intensities are kept as float64 in [0, 1] internally; 8-bit only touches the
-file boundary. `convolve` is plain numpy and sums its products in the order
-of scipy.ndimage.convolve1d(mode="nearest"), so its outputs are bit-identical
-to that function's on float64 images.
+An image is a plain (height, width) array of intensities, float64 in [0, 1];
+8-bit only touches the file boundary. `convolve` is plain numpy and sums its
+products in the order of scipy.ndimage.convolve1d(mode="nearest"), so its
+outputs are bit-identical to that function's on float64 images.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,21 +15,6 @@ from .errors import DegenerateDistributionError, InvalidParameterError, PgmParse
 _DBL_EPSILON = np.finfo(np.float64).eps
 # float64 elements in each of convolve's working buffers (128 kB)
 _CONVOLVE_BLOCK = 1 << 14
-
-
-@dataclass
-class GrayImage:
-    """Single-channel intensity raster, row-major, values in [0, 1]."""
-
-    data: np.ndarray  # shape (height, width), float64
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
-    def height(self):
-        return self.data.shape[0]
 
 
 def gaussian_kernel(sigma, radius):
@@ -49,7 +32,7 @@ def convolve(img, kernel, axis):
     """1-D convolution along 'horizontal' or 'vertical', clamp-to-edge borders.
 
     Works in float64 whatever the input dtype and returns a C-contiguous
-    float64 GrayImage. Each output sums its products in the order of
+    float64 array. Each output sums its products in the order of
     scipy.ndimage.convolve1d(mode="nearest"), so the result is bit-identical
     to it. With fw = kernel[::-1], r = len(fw) // 2 and x[j] the image
     shifted by j along the axis (edge sample repeated):
@@ -65,7 +48,7 @@ def convolve(img, kernel, axis):
     if axis not in ("horizontal", "vertical"):
         raise InvalidParameterError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
     ax = 1 if axis == "horizontal" else 0
-    data = np.asarray(img.data, dtype=np.float64)
+    data = np.asarray(img, dtype=np.float64)
     fw = kernel[::-1]
     r = fw.size // 2
     h, w = data.shape
@@ -125,11 +108,11 @@ def convolve(img, kernel, axis):
                 o += term
         if ax:
             out[a:b] = acc[:m * span].reshape(m, span)[:, :w]
-    return GrayImage(out)
+    return out
 
 
 def smooth(img, sigma, radius=None):
-    """Separable Gaussian smoothing of a GrayImage."""
+    """Separable Gaussian smoothing of an image."""
     if radius is None:
         radius = max(1, int(np.ceil(3.0 * sigma)))
     k = gaussian_kernel(sigma, radius)
@@ -141,7 +124,7 @@ def spatial_gradient(img):
 
     Returns (gx, gy) as plain float arrays: gx ~ d/dx (columns), gy ~ d/dy (rows).
     """
-    data = img.data if isinstance(img, GrayImage) else np.asarray(img, dtype=np.float64)
+    data = np.asarray(img, dtype=np.float64)
     if data.shape[0] < 3 or data.shape[1] < 3:
         raise InvalidParameterError("gradient needs at least a 3x3 image")
     gy, gx = np.gradient(data)
@@ -268,12 +251,12 @@ def read_pgm(path):
         raise PgmParseError("sample exceeds maxval", pos)
     if raw.min(initial=0.0) < 0:
         raise PgmParseError("negative sample", pos)
-    return GrayImage((raw / maxval).reshape(height, width))
+    return (raw / maxval).reshape(height, width)
 
 
 def write_pgm(img, path):
-    """Write a GrayImage as binary P5 with maxval 255."""
-    data = np.clip(np.rint(img.data * 255.0), 0, 255).astype(np.uint8)
+    """Write an image as binary P5 with maxval 255."""
+    data = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import egomotion, features, flow, obstacle, potential, scene, vehicle
+from . import (egomotion, features, flow, imgproc, obstacle, potential, scene,
+               vehicle)
 from .errors import (DegenerateGeometryError, InsufficientFlowError,
                      InvalidParameterError, NoDirectionError)
 from .trace import TraceRow, summarize
@@ -69,16 +70,16 @@ QUALITY_LEVEL = 0.002
 DET_ROW_MAX = 190   # skip the bottom band: flow there outruns LK
 
 
-def detect_features(img):
-    """Corners to track from img, above the bottom band (rows >= DET_ROW_MAX)
-    where flow outruns LK. The closed loop, replay and `flownav flow` all
-    detect here."""
-    return features.detect_corners(img, max_corners=MAX_CORNERS,
+def detect_features(grad):
+    """Corners to track from the image whose gradient is grad, above the
+    bottom band (rows >= DET_ROW_MAX) where flow outruns LK. The closed
+    loop, replay and `flownav flow` all detect here."""
+    return features.detect_corners(grad, max_corners=MAX_CORNERS,
                                    quality_level=QUALITY_LEVEL,
                                    row_range=(0, DET_ROW_MAX))
 
 
-PYR_LEVELS = 3         # pyramid depth of every build_pyramid and track
+PYR_LEVELS = 3         # pyramid depth of every build_pyramid
 MIN_FLOW_SPEED = 0.5   # px; slower vectors carry no FOE direction
 MIN_RESIDUAL = 2.5     # px of radial overshoot that flags an obstacle
 CLUSTER_RADIUS = 60.0  # px; flagged points need a neighbour this close
@@ -101,8 +102,8 @@ class VisionState:
         self.prev_pyr = None
         self.prev_pts = np.empty((0, 2))
         self.smoother = egomotion.FoeSmoother()
-        self.foe = egomotion.FoeEstimate(cam.cx, cam.cy + cam.focal
-                                         * math.tan(cam.pitch), float("inf"), 0)
+        self.foe = egomotion.FoeEstimate(cam.cx, cam.horizon_row,
+                                         float("inf"), 0)
         self.obs_fx = 0.0
         self.obs_fy = 0.0
         self.latch_dir = 0
@@ -118,17 +119,21 @@ class VisionState:
         """Run the vision stack on (previous frame, img); update FOE and the
         smoothed obstacle force. Returns the flow field (or None).
 
+        img's gradient is computed once, for its corners and its pyramid.
+
         dpsi is the vehicle heading change over the frame pair; the flow is
         derotated with it before obstacle segmentation so that the
         ground-expansion model (valid for pure translation) also holds in
         turns. The raw-flow FOE is kept separately: its lateral shift is
         exactly what the road-curvature classifier needs."""
         ff = None
-        pyr = flow.build_pyramid(img, PYR_LEVELS)
+        grad = imgproc.spatial_gradient(img)
+        pyr = flow.build_pyramid(img, grad, PYR_LEVELS)
+        pts = detect_features(grad)
+        del grad               # not held while tracking: a lower peak
         if len(self.prev_pts):
-            ff = flow.track(self.prev_pyr[0], img, self.prev_pts,
-                            levels=PYR_LEVELS, frame_interval=pair_dt,
-                            prev_pyr=self.prev_pyr, next_pyr=pyr)
+            ff = flow.track(self.prev_pyr, pyr, self.prev_pts,
+                            frame_interval=pair_dt)
             fit = self._fit(ff)
             if fit is not None:  # else hold the previous (smoothed) estimate
                 self.foe = self.smoother.update(fit)
@@ -140,8 +145,7 @@ class VisionState:
             self._update_obstacle(ff_obs, ff, pyr,
                                   self.foe if fit is None else fit)
             self._update_latch(pair_dt)
-        self.prev_pyr = pyr
-        self.prev_pts = detect_features(img)
+        self.prev_pyr, self.prev_pts = pyr, pts
         return ff
 
     def _fit(self, ff):
@@ -215,8 +219,7 @@ class VisionState:
         the displaced point backward exposes the mismatch. Only the few
         flagged points are re-tracked, so this stays cheap."""
         fwd = ff_raw.disp[index]
-        back = flow.track(pyr[0], self.prev_pyr[0], ff_raw.pts[index] + fwd,
-                          levels=PYR_LEVELS, prev_pyr=pyr, next_pyr=self.prev_pyr)
+        back = flow.track(pyr, self.prev_pyr, ff_raw.pts[index] + fwd)
         loop = back.disp + fwd
         return back.valid & (np.hypot(loop[:, 0], loop[:, 1]) <= FB_TOL)
 

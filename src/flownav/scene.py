@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .imgproc import GrayImage
 from .vehicle import VehicleState, wrap_angle
 
 LANE_WIDTH = 3.5
@@ -420,7 +419,7 @@ def render(world, cam, state):
         img[win][closer] = _box_shade(
             box, origin + dirs_w[closer] * t_hit[:, None], world.texture_seed)
         t_best[win][closer] = t_hit
-    return GrayImage(np.clip(img, 0.0, 1.0))
+    return np.clip(img, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def degrade(img, mode, seed=0):
         return img
     if mode != "rain":
         raise InvalidParameterError(f"unknown weather mode {mode!r}")
-    data = img.data.copy()
+    data = img.copy()
     h, w = data.shape
     h0 = int(0.4 * h)
     rows = np.arange(h0, h)
@@ -484,7 +483,7 @@ def degrade(img, mode, seed=0):
     data[rows] = 0.65 * data[rows] + 0.35 * data[src]
     for win_rows, win_cols, patch in _droplet_patches((h, w), seed):
         data[win_rows, win_cols] += patch
-    return GrayImage(np.clip(data, 0.0, 1.0))
+    return np.clip(data, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from flownav import cli, egomotion, features, flow, imgproc, pipeline, vehicle
 from flownav.flow import FlowField
-from flownav.imgproc import GrayImage
 from flownav.potential import Curvature, RoadFieldParams, road_force, road_potential
 from flownav.trace import read_trace
 from flownav.vehicle import (ControlCommand, VehicleParams, VehicleState,
@@ -117,18 +116,22 @@ def _textured(h, w, seed):
     return a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx + c * fy * (1 - fx) + d * fy * fx
 
 
+def _pyramid(img):
+    return flow.build_pyramid(img, imgproc.spatial_gradient(img), 3)
+
+
 def test_2_flow_endpoint_error():
     t0 = time.perf_counter()
     errors = []
     for seed in range(10):
         base = _textured(160, 160, seed)
-        prev = GrayImage(base)
+        prev = _pyramid(base)
         for shift in (1, 2, 3, 4):
-            next_ = GrayImage(np.roll(base, (shift, shift), axis=(0, 1)))
+            next_ = _pyramid(np.roll(base, (shift, shift), axis=(0, 1)))
             pts = [(float(x), float(y))
                    for y in range(40, 121, 20) for x in range(40, 121, 20)]
             ff = flow.track(prev, next_, pts, window=25, epsilon=0.03,
-                            max_iters=30, levels=3)
+                            max_iters=30)
             vs = ff.disp[ff.valid]
             assert len(vs) >= 20
             errors.append(np.mean(np.hypot(vs[:, 0] - shift, vs[:, 1] - shift)))

@@ -120,8 +120,8 @@ def test_replay_names_a_frame_of_another_size(capsys, tmp_path, recording):
     odd.mkdir()
     for name in ("000.pgm", "001.pgm"):
         (odd / name).write_bytes((frames / name).read_bytes())
-    short = imgproc.read_pgm(str(frames / "002.pgm")).data[:200]
-    imgproc.write_pgm(imgproc.GrayImage(short), str(odd / "002.pgm"))
+    short = imgproc.read_pgm(str(frames / "002.pgm"))[:200]
+    imgproc.write_pgm(short, str(odd / "002.pgm"))
     controls = tmp_path / "c.csv"
     controls.write_text("".join(f"{i * pipeline.DT!r},0.0,0.0\n"
                                 for i in range(3)))
@@ -161,6 +161,38 @@ def test_replay_accepts_accumulated_timestamps(capsys, tmp_path, recording):
     controls = tmp_path / "c.csv"
     controls.write_text("".join(lines))
     assert _run(capsys, ["replay", frames, controls, "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("column,value", [(0, "nan"), (1, "inf"), (2, "abc")])
+def test_replay_names_a_control_that_is_not_a_finite_number(
+        capsys, tmp_path, recording, column, value):
+    # a NaN timestamp passes every interval check (its comparisons are
+    # false), and a bare float() error would escape as a traceback
+    frames, _ = recording
+    rows = [[repr(i * pipeline.DT), "0.0", "0.0"] for i in range(N_FRAMES)]
+    rows[1][column] = value
+    controls = tmp_path / "c.csv"
+    controls.write_text("".join(",".join(r) + "\n" for r in rows))
+    rc = cli.main(["replay", str(frames), str(controls), "--out", str(tmp_path)])
+    assert rc == RUNTIME_EXIT
+    err = capsys.readouterr().err
+    assert "control row 2 needs three finite numbers t,a,delta" in err
+    assert ",".join(rows[1]) in err
+    assert not (tmp_path / "replay.csv").exists()
+
+
+def test_flow_names_both_frames_of_different_sizes(capsys, tmp_path, recording):
+    frames, _ = recording
+    short = tmp_path / "short.pgm"
+    imgproc.write_pgm(imgproc.read_pgm(str(frames / "001.pgm"))[:200],
+                      str(short))
+    out = tmp_path / "flow"
+    rc = cli.main(["flow", str(frames / "000.pgm"), str(short),
+                   "--out", str(out)])
+    assert rc == RUNTIME_EXIT
+    assert (f"{short} is 320x200 px but {frames / '000.pgm'} is 320x240 px"
+            in capsys.readouterr().err)
+    assert not (out / "flow.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flownav import features, scene
+from flownav import features, imgproc, scene
 from flownav.errors import InvalidParameterError
-from flownav.imgproc import GrayImage
 from flownav.vehicle import VehicleState
 
 
@@ -14,42 +13,52 @@ def checkerboard(h, w, cell):
     return (((yy // cell) + (xx // cell)) % 2).astype(np.float64)
 
 
+def response(img):
+    """features.corner_response of img's own gradient."""
+    return features.corner_response(*imgproc.spatial_gradient(img))
+
+
+def detect(img, **kwargs):
+    """features.detect_corners on img's own gradient."""
+    return features.detect_corners(imgproc.spatial_gradient(img), **kwargs)
+
+
 def single_corner(h=32, w=32):
     """Bright quadrant: one L-shaped corner at the quadrant junction."""
     img = np.zeros((h, w))
     img[: h // 2, : w // 2] = 1.0
-    return GrayImage(img)
+    return img
 
 
 class TestCornerResponse:
     def test_constant_is_zero(self):
-        resp = features.corner_response(GrayImage(np.full((16, 16), 0.4)))
+        resp = response(np.full((16, 16), 0.4))
         assert np.allclose(resp, 0.0)
 
     def test_edge_vs_corner(self):
         # a straight vertical edge has rank-1 structure tensor: lam_min ~ 0
         img = np.zeros((32, 32))
         img[:, 16:] = 1.0
-        resp_edge = features.corner_response(GrayImage(img))
-        resp_corner = features.corner_response(single_corner())
+        resp_edge = response(img)
+        resp_corner = response(single_corner())
         assert resp_edge[16, 1:-1].max() < 1e-6
         assert resp_corner.max() > 1e-3
 
     def test_peak_near_true_corner(self):
-        resp = features.corner_response(single_corner())
+        resp = response(single_corner())
         y, x = np.unravel_index(np.argmax(resp), resp.shape)
         assert abs(x - 16) <= 2 and abs(y - 16) <= 2
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
-        resp = features.corner_response(GrayImage(rng.random((20, 20))))
+        resp = response(rng.random((20, 20)))
         assert (resp >= 0.0).all()
 
 
 class TestDetectCorners:
     def test_finds_checkerboard_interior_corners(self):
-        img = GrayImage(checkerboard(48, 48, 8))
-        pts = features.detect_corners(img, max_corners=100, min_distance=4)
+        img = checkerboard(48, 48, 8)
+        pts = detect(img, max_corners=100, min_distance=4)
         # interior lattice points of an 8px board: 5x5 grid
         assert len(pts) >= 20
         for x, y in pts[:10]:
@@ -57,58 +66,58 @@ class TestDetectCorners:
             assert y % 8 <= 2 or y % 8 >= 6
 
     def test_sorted_and_capped(self):
-        img = GrayImage(checkerboard(64, 64, 8))
-        pts = features.detect_corners(img, max_corners=7)
+        img = checkerboard(64, 64, 8)
+        pts = detect(img, max_corners=7)
         assert len(pts) == 7
-        resp = features.corner_response(img)
+        resp = response(img)
         scores = resp[pts[:, 1].astype(int), pts[:, 0].astype(int)]
         assert (np.diff(scores) <= 0).all()
 
     def test_min_distance_respected(self):
-        img = GrayImage(checkerboard(64, 64, 8))
-        pts = features.detect_corners(img, max_corners=200, min_distance=11)
+        img = checkerboard(64, 64, 8)
+        pts = detect(img, max_corners=200, min_distance=11)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = np.hypot(*(pts[i] - pts[j]))
                 assert d >= 11
 
     def test_blank_image_empty(self):
-        pts = features.detect_corners(GrayImage(np.zeros((32, 32))))
+        pts = detect(np.zeros((32, 32)))
         assert pts.shape == (0, 2)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        img = GrayImage(rng.random((40, 40)))
-        a = features.detect_corners(img, max_corners=50)
-        b = features.detect_corners(img, max_corners=50)
+        img = rng.random((40, 40))
+        a = detect(img, max_corners=50)
+        b = detect(img, max_corners=50)
         assert np.array_equal(a, b)
 
     def test_row_range(self):
-        img = GrayImage(checkerboard(64, 64, 8))
-        pts = features.detect_corners(img, max_corners=200, row_range=(20, 40))
+        img = checkerboard(64, 64, 8)
+        pts = detect(img, max_corners=200, row_range=(20, 40))
         assert len(pts) and ((20 <= pts[:, 1]) & (pts[:, 1] < 40)).all()
 
     def test_border_margin(self):
-        img = GrayImage(checkerboard(64, 64, 8))
-        pts = features.detect_corners(img, max_corners=400, min_distance=2)
+        img = checkerboard(64, 64, 8)
+        pts = detect(img, max_corners=400, min_distance=2)
         assert ((3 <= pts) & (pts < 61)).all()
 
     def test_param_validation(self):
-        img = GrayImage(np.zeros((32, 32)))
+        img = np.zeros((32, 32))
         with pytest.raises(InvalidParameterError):
-            features.detect_corners(GrayImage(np.zeros((5, 5))))
+            features.detect_corners(imgproc.spatial_gradient(np.zeros((5, 5))))
         with pytest.raises(InvalidParameterError):
-            features.detect_corners(img, quality_level=0.0)
+            detect(img, quality_level=0.0)
         with pytest.raises(InvalidParameterError):
-            features.detect_corners(img, quality_level=1.5)
+            detect(img, quality_level=1.5)
 
     def test_quality_level_filters(self):
         rng = np.random.default_rng(2)
-        img = GrayImage(rng.random((48, 48)))
-        loose = features.detect_corners(img, max_corners=1000, quality_level=0.01,
-                                        min_distance=1)
-        tight = features.detect_corners(img, max_corners=1000, quality_level=0.5,
-                                        min_distance=1)
+        img = rng.random((48, 48))
+        loose = detect(img, max_corners=1000, quality_level=0.01,
+                       min_distance=1)
+        tight = detect(img, max_corners=1000, quality_level=0.5,
+                       min_distance=1)
         assert len(tight) <= len(loose)
 
 
@@ -126,13 +135,13 @@ def detect_corners_ref(img, max_corners=400, quality_level=0.005,
                        min_distance=7, row_range=None):
     m = features.BORDER_MARGIN
     if row_range is not None:
-        lo, hi = max(row_range[0], 0), min(row_range[1], img.height)
+        lo, hi = max(row_range[0], 0), min(row_range[1], img.shape[0])
         y_off = max(lo - 5, 0)
-        sub = features.corner_response(GrayImage(img.data[y_off:hi + 5]))
-        resp = np.zeros((img.height, img.width))
+        sub = response(img[y_off:hi + 5])    # the band's own gradient
+        resp = np.zeros(img.shape)
         resp[y_off:y_off + sub.shape[0]] = sub
     else:
-        resp = features.corner_response(img)
+        resp = response(img)
     mask = np.zeros_like(resp, dtype=bool)
     mask[m:-m, m:-m] = True
     if row_range is not None:
@@ -148,7 +157,7 @@ def detect_corners_ref(img, max_corners=400, quality_level=0.005,
     ys, xs, scores = ys[order], xs[order], scores[order]
     pre = max(1, int(min_distance / math.sqrt(2.0)))
     if pre > 1 and len(xs) > 1:
-        key = (ys // pre).astype(np.int64) * (img.width // pre + 2) + xs // pre
+        key = (ys // pre).astype(np.int64) * (img.shape[1] // pre + 2) + xs // pre
         perm = np.argsort(key, kind="stable")
         first = np.ones(len(perm), dtype=bool)
         first[1:] = key[perm][1:] != key[perm][:-1]
@@ -194,7 +203,7 @@ def test_detect_corners_matches_numpy_scalar_loop(course, weather, s):
                     "row_range": (0, 190)},
                    {"max_corners": 400, "min_distance": 4},
                    {"max_corners": 30, "min_distance": 11}):
-        got = features.detect_corners(img, **kwargs)
+        got = detect(img, **kwargs)
         assert len(got) > 10
         assert got.dtype == np.float64
         assert np.array_equal(got, detect_corners_ref(img, **kwargs))
@@ -207,24 +216,28 @@ def _textured(h, w, seed=3):
     return np.kron(coarse, np.ones((6, 6)))[:h, :w] + 0.05 * rng.random((h, w))
 
 
-@pytest.mark.parametrize("case",
-                         ["row_range", "ties", "min_distance_2", "nan"])
+@pytest.mark.parametrize("case", ["row_range", "row_range_inner", "ties",
+                                  "min_distance_2", "nan"])
 def test_detect_corners_matches_reference_at_edges(case, monkeypatch):
-    # cells that overhang the image, exact ties inside a cell, cells of one
+    # cells that overhang the image, a band whose padded crop starts below
+    # row 0 (the reference takes the band's own gradient, detect_corners
+    # crops the full frame's), exact ties inside a cell, cells of one
     # pixel, and a NaN response (no candidates on either side)
-    img = GrayImage(_textured(90, 130))
+    img = _textured(90, 130)
     kwargs = {"max_corners": 400}
     if case == "row_range":
         kwargs["row_range"] = (5, 83)
+    elif case == "row_range_inner":
+        kwargs["row_range"] = (20, 70)
     elif case == "ties":
         levels = np.random.default_rng(4).integers(0, 3, (90, 130))
         monkeypatch.setattr(features, "corner_response",
-                            lambda im: levels[:im.height, :im.width] * 1.0)
+                            lambda gx, gy: levels[:gx.shape[0], :gx.shape[1]] * 1.0)
     elif case == "min_distance_2":
         kwargs["min_distance"] = 2
     else:
-        img.data[40, 60] = np.nan
-    got = features.detect_corners(img, **kwargs)
+        img[40, 60] = np.nan
+    got = detect(img, **kwargs)
     ref = detect_corners_ref(img, **kwargs)
     assert np.array_equal(got, ref)
     assert (len(got) == 0) == (case == "nan")

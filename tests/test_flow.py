@@ -3,7 +3,6 @@ import pytest
 
 from flownav import flow, imgproc
 from flownav.errors import InvalidParameterError
-from flownav.imgproc import GrayImage
 
 
 def textured(h, w, seed):
@@ -31,25 +30,59 @@ def grid_points(w, h, margin=30, step=16):
                      for x in range(margin, w - margin, step)], dtype=np.float64)
 
 
+def pyramid(img, levels=3):
+    """flow.build_pyramid of img with its own gradient."""
+    return flow.build_pyramid(img, imgproc.spatial_gradient(img), levels)
+
+
+def track_images(prev, next_, points, levels=3, **kw):
+    """flow.track from image prev to image next_ over fresh pyramids."""
+    return flow.track(pyramid(prev, levels), pyramid(next_, levels), points,
+                      **kw)
+
+
+def pyramid_ref(img, levels):
+    """The float64 levels: each is the previous one smoothed and halved."""
+    pyr = [img]
+    for _ in range(1, levels):
+        sm = imgproc.smooth(pyr[-1], flow.PYRAMID_SIGMA, radius=2)
+        pyr.append(sm[: sm.shape[0] // 2 * 2 : 2, : sm.shape[1] // 2 * 2 : 2])
+    return pyr
+
+
 class TestPyramid:
     def test_levels_and_sizes(self):
-        img = GrayImage(np.zeros((128, 160)))
-        pyr = flow.build_pyramid(img, 3)
-        assert [(p.height, p.width) for p in pyr] == [(128, 160), (64, 80), (32, 40)]
+        img = np.zeros((128, 160))
+        pyr = pyramid(img, 3)
+        assert [[a.shape for a in lvl] for lvl in pyr] == [
+            [(128, 160)] * 3, [(64, 80)] * 3, [(32, 40)] * 3]
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
-            flow.build_pyramid(GrayImage(np.zeros((40, 40))), 3)
+            pyramid(np.zeros((40, 40)), 3)
 
     def test_single_level_identity(self):
-        img = GrayImage(np.full((20, 20), 0.3))
-        pyr = flow.build_pyramid(img, 1)
-        assert len(pyr) == 1 and pyr[0] is img
+        img = np.full((20, 20), 0.3)
+        (lvl,) = flow.build_pyramid(img, imgproc.spatial_gradient(img), 1)
+        assert np.array_equal(lvl[0], img.astype(np.float32))
 
     def test_constant_preserved(self):
-        pyr = flow.build_pyramid(GrayImage(np.full((64, 64), 0.7)), 3)
-        for p in pyr:
-            assert np.allclose(p.data, 0.7)
+        pyr = pyramid(np.full((64, 64), 0.7), 3)
+        for img, gx, gy in pyr:
+            assert np.allclose(img, 0.7)
+            assert not gx.any() and not gy.any()
+
+    @pytest.mark.parametrize("shape", [(128, 160), (101, 75)])
+    def test_levels_hold_float32_roundings(self, shape):
+        # every level and its gradient as float32 roundings of the float64
+        # chain, level 0's gradient as handed in
+        img = textured(*shape, seed=14)
+        pyr = pyramid(img, 3)
+        for got, ref in zip(pyr, pyramid_ref(img, 3)):
+            want = (ref, *imgproc.spatial_gradient(ref))
+            for a, b in zip(got, want):
+                assert a.dtype == np.float32
+                assert np.array_equal(a, b.astype(np.float32))
 
 
 def grid(xs, ys):
@@ -79,9 +112,9 @@ class TestBilinear:
 
 class TestTrack:
     def test_zero_motion(self):
-        img = GrayImage(textured(96, 96, 1))
+        img = textured(96, 96, 1)
         pts = grid_points(96, 96)
-        ff = flow.track(img, img, pts, window=15, levels=2)
+        ff = track_images(img, img, pts, window=15, levels=2)
         vs = ff.disp[ff.valid]
         assert len(vs) == len(pts)
         assert np.abs(vs).max() < 0.05
@@ -89,10 +122,10 @@ class TestTrack:
     def test_known_integer_shift(self):
         base = textured(128, 128, 2)
         for dx, dy in [(2, 0), (0, 3), (-3, 2), (4, -4)]:
-            prev = GrayImage(base)
-            next_ = GrayImage(shifted(base, dx, dy))
+            prev = base
+            next_ = shifted(base, dx, dy)
             pts = grid_points(128, 128)
-            ff = flow.track(prev, next_, pts, window=21, levels=3)
+            ff = track_images(prev, next_, pts, window=21, levels=3)
             vs = ff.disp[ff.valid]
             assert len(vs) >= len(pts) * 0.8
             err = np.hypot(vs[:, 0] - dx, vs[:, 1] - dy)
@@ -102,11 +135,11 @@ class TestTrack:
         h = w = 96
         yy, xx = np.mgrid[0:h, 0:w]
         def render(ox):
-            return GrayImage(0.5 + 0.25 * np.sin(2 * np.pi * (xx - ox) / 12.0)
-                             + 0.25 * np.sin(2 * np.pi * yy / 14.0))
+            return (0.5 + 0.25 * np.sin(2 * np.pi * (xx - ox) / 12.0)
+                    + 0.25 * np.sin(2 * np.pi * yy / 14.0))
         prev, next_ = render(0.0), render(1.5)
         pts = grid_points(96, 96, margin=24, step=12)
-        ff = flow.track(prev, next_, pts, window=15, levels=2)
+        ff = track_images(prev, next_, pts, window=15, levels=2)
         vs = ff.disp[ff.valid]
         assert len(vs) > 0
         assert np.abs(np.median(vs[:, 0]) - 1.5) < 0.1
@@ -115,39 +148,40 @@ class TestTrack:
     def test_flat_region_invalid(self):
         img = np.full((64, 64), 0.5)
         img[0:20, 0:20] = textured(20, 20, 3)
-        prev = GrayImage(img)
-        ff = flow.track(prev, prev, [(48.0, 48.0)], window=11, levels=2)
+        ff = track_images(img, img, [(48.0, 48.0)], window=11, levels=2)
         assert not ff.valid[0]
 
     def test_window_outside_invalid(self):
-        img = GrayImage(textured(64, 64, 4))
-        ff = flow.track(img, img, [(2.0, 2.0)], window=21, levels=2)
+        img = textured(64, 64, 4)
+        ff = track_images(img, img, [(2.0, 2.0)], window=21, levels=2)
         assert not ff.valid[0]
 
     def test_origin_preserved_order(self):
-        img = GrayImage(textured(64, 64, 5))
+        img = textured(64, 64, 5)
         pts = np.array([(30.0, 30.0), (40.0, 25.0)])
-        ff = flow.track(img, img, pts, window=11, levels=2)
+        ff = track_images(img, img, pts, window=11, levels=2)
         assert np.array_equal(ff.pts, pts)
 
     def test_bad_args(self):
-        a = GrayImage(np.zeros((64, 64)))
-        b = GrayImage(np.zeros((64, 32)))
+        a = pyramid(np.zeros((64, 64)), 2)
+        b = pyramid(np.zeros((64, 32)), 2)
         with pytest.raises(InvalidParameterError):
             flow.track(a, b, [(5, 5)])
+        with pytest.raises(InvalidParameterError):
+            flow.track(a, pyramid(np.zeros((64, 64)), 3), [(5, 5)])
         with pytest.raises(InvalidParameterError):
             flow.track(a, a, [(5, 5)], window=10)
 
     def test_empty_points(self):
-        img = GrayImage(np.zeros((64, 64)))
-        ff = flow.track(img, img, [])
+        img = np.zeros((64, 64))
+        ff = track_images(img, img, [])
         assert ff.pts.shape == ff.disp.shape == (0, 2)
         assert ff.valid.shape == (0,) and len(ff.vectors) == 0
 
     def test_vectors_view(self):
         # the record view other tools read: one row per point, read-only
-        img = GrayImage(textured(64, 64, 5))
-        ff = flow.track(img, img, [(30.0, 30.0), (2.0, 2.0)], window=11, levels=2)
+        img = textured(64, 64, 5)
+        ff = track_images(img, img, [(30.0, 30.0), (2.0, 2.0)], window=11, levels=2)
         rec = ff.vectors
         assert len(rec) == 2 and [bool(v.valid) for v in rec] == [True, False]
         assert np.array_equal(rec.x, ff.pts[:, 0])
@@ -156,8 +190,8 @@ class TestTrack:
             rec.vx[0] = 1.0
 
     def test_frame_interval_passthrough(self):
-        img = GrayImage(textured(64, 64, 6))
-        ff = flow.track(img, img, [], frame_interval=0.1)
+        img = textured(64, 64, 6)
+        ff = track_images(img, img, [], frame_interval=0.1)
         assert ff.frame_interval == 0.1
 
 
@@ -186,8 +220,8 @@ def bilinear_ref(data, xs, ys):
 
 def track_ref(prev, next_, points, window=25, epsilon=0.03, max_iters=30,
               levels=3):
-    pyr_prev = flow.build_pyramid(prev, levels)
-    pyr_next = flow.build_pyramid(next_, levels)
+    pyr_prev = pyramid_ref(prev, levels)
+    pyr_next = pyramid_ref(next_, levels)
     grads = [imgproc.spatial_gradient(p) for p in pyr_prev]
     r = window // 2
     offs = np.arange(-r, r + 1, dtype=np.float32)
@@ -201,8 +235,8 @@ def track_ref(prev, next_, points, window=25, epsilon=0.03, max_iters=30,
     converged = np.zeros(n, dtype=bool)
     for lvl in range(levels - 1, -1, -1):
         scale = 2.0 ** lvl
-        data_p = pyr_prev[lvl].data.astype(np.float32)
-        data_n = pyr_next[lvl].data.astype(np.float32)
+        data_p = pyr_prev[lvl].astype(np.float32)
+        data_n = pyr_next[lvl].astype(np.float32)
         gx, gy = (g.astype(np.float32) for g in grads[lvl])
         h, w = data_p.shape
         cx = (px / scale).astype(np.float32)
@@ -296,10 +330,10 @@ class TestTrackParity:
 
     def pair(self, dx, dy, seed=11):
         base = textured(self.H, self.W, seed)
-        return GrayImage(base), GrayImage(shifted(base, dx, dy))
+        return base, shifted(base, dx, dy)
 
     def check(self, prev, next_, pts, **kw):
-        got = flow.track(prev, next_, pts, **kw)
+        got = track_images(prev, next_, pts, **kw)
         d, valid = track_ref(prev, next_, pts, **kw)
         assert np.array_equal(bits(got.pts), bits(np.asarray(pts, dtype=float)))
         assert np.array_equal(bits(got.disp), bits(d))
@@ -314,7 +348,7 @@ class TestTrackParity:
 
     def test_float_points_as_in_backward_call(self):
         prev, next_ = self.pair(-2, 1)
-        fwd = flow.track(prev, next_, grid_points(self.W, self.H, step=29))
+        fwd = track_images(prev, next_, grid_points(self.W, self.H, step=29))
         targets = (fwd.pts + fwd.disp)[fwd.valid]
         assert (targets[:, 0] != targets[:, 0].astype(int)).any()
         got = self.check(next_, prev, targets)
@@ -330,9 +364,9 @@ class TestTrackParity:
         """Smooth waves moved by (ox, oy) px; LK follows them far."""
         yy, xx = np.mgrid[0:self.H, 0:self.W]
         x, y = xx - ox, yy - oy
-        return GrayImage(0.5 + 0.2 * np.sin(2 * np.pi * x / 83)
-                         + 0.15 * np.sin(2 * np.pi * y / 71)
-                         + 0.1 * np.sin(2 * np.pi * (x + y) / 57 + 1.0))
+        return (0.5 + 0.2 * np.sin(2 * np.pi * x / 83)
+                + 0.15 * np.sin(2 * np.pi * y / 71)
+                + 0.1 * np.sin(2 * np.pi * (x + y) / 57 + 1.0))
 
     def test_clamped_at_each_border(self):
         # each point's window fits with 4 px to spare and moves 8 px toward
@@ -361,8 +395,8 @@ class TestTrackParity:
     def test_flat_patch_rejected(self):
         img = np.full((self.H, self.W), 0.5)
         img[:, :100] = textured(self.H, 100, 12)
-        prev = GrayImage(img)
-        next_ = GrayImage(shifted(img, 1, 0))
+        prev = img
+        next_ = shifted(img, 1, 0)
         got = self.check(prev, next_, [(50.0, 80.0), (200.0, 80.0)])
         assert got.valid.tolist() == [True, False]
 
@@ -421,6 +455,22 @@ class TestWholePixelWindows:
     def test_fractional_centre_has_no_corners(self):
         cx, cy, _, _ = self.windows([12, 40.5], [12, 30])
         assert flow._whole_pixel_corners(cx, cy, self.R) is None
+
+    @pytest.mark.parametrize("bad", [None, -0.0, np.nan])
+    def test_float32_reads_as_its_float64_widening(self, bad):
+        # pyramid levels are float32: read directly or sampled, every
+        # window equals that of the widened image, bit for bit
+        data = self.image().astype(np.float32)
+        if bad is not None:
+            data[25, 30], data[25, 31] = bad, 0.5
+        cx, cy, xs, ys = self.windows([20, 50], [20, 35])
+        wide = data.astype(np.float64)
+        for corners in (flow._whole_pixel_corners(cx, cy, self.R), None):
+            with np.errstate(invalid="ignore"):
+                got = flow._patches(data, xs, ys, corners)
+                ref = flow._patches(wide, xs, ys, corners)
+            assert got.dtype == np.float64
+            assert np.array_equal(bits(got), bits(ref))
 
     @pytest.mark.parametrize("bad", [-0.0, np.inf, -np.inf, np.nan])
     def test_falls_back_where_direct_read_differs(self, bad):

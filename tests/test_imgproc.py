@@ -8,7 +8,6 @@ import pytest
 from flownav import imgproc
 from flownav.errors import (DegenerateDistributionError, InvalidParameterError,
                             PgmParseError)
-from flownav.imgproc import GrayImage
 
 
 def naive_convolve(data, kernel, axis):
@@ -93,37 +92,37 @@ class TestGaussianKernel:
 class TestConvolve:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        img = GrayImage(rng.random((6, 9)))
+        img = rng.random((6, 9))
         out = imgproc.convolve(img, [1.0], "horizontal")
-        assert np.allclose(out.data, img.data)
+        assert np.allclose(out, img)
 
     def test_constant_image(self):
-        img = GrayImage(np.full((5, 5), 0.37))
+        img = np.full((5, 5), 0.37)
         k = imgproc.gaussian_kernel(1.2, 3)
         out = imgproc.convolve(img, k, "vertical")
-        assert np.allclose(out.data, 0.37)
+        assert np.allclose(out, 0.37)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
-        img = GrayImage(rng.random((8, 8)))
+        img = rng.random((8, 8))
         k = [0.25, 0.5, 0.25]
         for axis in ("horizontal", "vertical"):
             out = imgproc.convolve(img, k, axis)
-            ref = naive_convolve(img.data, k, axis)
-            assert np.abs(out.data - ref).max() < 1e-14
+            ref = naive_convolve(img, k, axis)
+            assert np.abs(out - ref).max() < 1e-14
 
     def test_even_kernel_rejected(self):
-        img = GrayImage(np.zeros((4, 4)))
+        img = np.zeros((4, 4))
         with pytest.raises(InvalidParameterError):
             imgproc.convolve(img, [0.5, 0.5], "horizontal")
 
     def test_range_preserved(self):
         rng = np.random.default_rng(2)
-        img = GrayImage(rng.random((10, 10)))
+        img = rng.random((10, 10))
         k = imgproc.gaussian_kernel(2.0, 4)
         out = imgproc.convolve(img, k, "horizontal")
-        assert out.data.min() >= img.data.min() - 1e-12
-        assert out.data.max() <= img.data.max() + 1e-12
+        assert out.min() >= img.min() - 1e-12
+        assert out.max() <= img.max() + 1e-12
 
 
 def bits(a):
@@ -163,7 +162,7 @@ class TestConvolveScipyParity:
             zeros[rng.random(shape) < 0.3] = 0.0
             for data in (signed, zeros):
                 for ax, axis in enumerate(("vertical", "horizontal")):
-                    out = imgproc.convolve(GrayImage(data), k, axis).data
+                    out = imgproc.convolve(data, k, axis)
                     ref = ndimage.convolve1d(data, k, axis=ax, mode="nearest")
                     assert out.dtype == np.float64 and out.flags.c_contiguous
                     assert np.array_equal(bits(out), bits(ref)), (shape, axis)
@@ -177,8 +176,8 @@ class TestConvolveDtypes:
                 else rng.random((30, 40)) < 0.2).astype(dtype)
         for k in (imgproc.gaussian_kernel(1.0, 2), imgproc.gaussian_kernel(20.0, 60)):
             for axis in ("horizontal", "vertical"):
-                out = imgproc.convolve(GrayImage(data), k, axis).data
-                ref = imgproc.convolve(GrayImage(data.astype(np.float64)), k, axis).data
+                out = imgproc.convolve(data, k, axis)
+                ref = imgproc.convolve(data.astype(np.float64), k, axis)
                 assert out.dtype == np.float64
                 assert np.array_equal(bits(out), bits(ref))
                 assert out.any()
@@ -198,12 +197,12 @@ class TestSpatialGradient:
     def test_ramp(self):
         w, h = 16, 8
         xs = np.tile(np.arange(w) / w, (h, 1))
-        gx, gy = imgproc.spatial_gradient(GrayImage(xs))
+        gx, gy = imgproc.spatial_gradient(xs)
         assert np.allclose(gx, 1.0 / w, atol=1e-12)
         assert np.allclose(gy, 0.0, atol=1e-12)
 
     def test_constant(self):
-        gx, gy = imgproc.spatial_gradient(GrayImage(np.full((5, 7), 0.5)))
+        gx, gy = imgproc.spatial_gradient(np.full((5, 7), 0.5))
         assert np.allclose(gx, 0.0) and np.allclose(gy, 0.0)
 
     def test_sine_matches_analytic(self):
@@ -211,26 +210,26 @@ class TestSpatialGradient:
         x = np.arange(w)
         img = 0.5 + 0.5 * np.sin(2 * np.pi * x / w)
         img = np.tile(img, (8, 1))
-        gx, _ = imgproc.spatial_gradient(GrayImage(img))
+        gx, _ = imgproc.spatial_gradient(img)
         ref = 0.5 * (2 * np.pi / w) * np.cos(2 * np.pi * x / w)
         assert np.abs(gx[4, 1:-1] - ref[1:-1]).max() < 1e-2
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
-            imgproc.spatial_gradient(GrayImage(np.zeros((2, 5))))
+            imgproc.spatial_gradient(np.zeros((2, 5)))
 
     def test_smooth_gradient_commutes(self):
         rng = np.random.default_rng(3)
-        img = GrayImage(rng.random((24, 24)))
+        img = rng.random((24, 24))
         k = imgproc.gaussian_kernel(1.5, 3)
         sm = imgproc.convolve(imgproc.convolve(img, k, "horizontal"), k, "vertical")
         gx_after, _ = imgproc.spatial_gradient(sm)
         gx, _ = imgproc.spatial_gradient(img)
-        gx_img = imgproc.convolve(imgproc.convolve(GrayImage(np.clip(gx + 0.5, 0, 1)),
+        gx_img = imgproc.convolve(imgproc.convolve(np.clip(gx + 0.5, 0, 1),
                                                    k, "horizontal"), k, "vertical")
         # linearity: smoothing the (shifted) gradient equals gradient of smoothed
         interior = np.s_[4:-4, 4:-4]
-        assert np.abs((gx_img.data - 0.5)[interior] - gx_after[interior]).max() < 1e-6
+        assert np.abs((gx_img - 0.5)[interior] - gx_after[interior]).max() < 1e-6
 
 
 class TestOtsu:
@@ -270,28 +269,28 @@ class TestPgm:
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
         img = imgproc.read_pgm(p)
-        assert img.width == 2 and img.height == 2
-        assert np.allclose(img.data.ravel(), [0, 1, 128 / 255, 64 / 255])
+        assert img.shape == (2, 2) and img.dtype == np.float64
+        assert np.allclose(img.ravel(), [0, 1, 128 / 255, 64 / 255])
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
-        img = GrayImage(rng.random((9, 13)))
+        img = rng.random((9, 13))
         p = tmp_path / "b.pgm"
         imgproc.write_pgm(img, p)
         back = imgproc.read_pgm(p)
-        assert np.abs(back.data - img.data).max() <= 1.0 / 510 + 1e-12
+        assert np.abs(back - img).max() <= 1.0 / 510 + 1e-12
 
     def test_header_semantics(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5 3 2 255\n" + bytes(6))
         img = imgproc.read_pgm(p)
-        assert (img.width, img.height) == (3, 2)
+        assert img.shape == (2, 3)
 
     def test_p2_ascii(self, tmp_path):
         p = tmp_path / "d.pgm"
         p.write_bytes(b"P2\n# comment\n2 1\n100\n0 100\n")
         img = imgproc.read_pgm(p)
-        assert np.allclose(img.data.ravel(), [0.0, 1.0])
+        assert np.allclose(img.ravel(), [0.0, 1.0])
 
     def test_p2_negative_sample(self, tmp_path):
         # int() parses "-5"; a sample below 0 would read outside [0, 1]
@@ -317,4 +316,4 @@ class TestPgm:
         p = tmp_path / "g.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n" + (32768).to_bytes(2, "big"))
         img = imgproc.read_pgm(p)
-        assert img.data[0, 0] == pytest.approx(32768 / 65535)
+        assert img[0, 0] == pytest.approx(32768 / 65535)

@@ -221,7 +221,7 @@ def gradient_sum_ref(plane, y0):
     h, w = plane.shape
     sx, sy = w / 2.0, h / 2.0
     rx, ry = min(int(np.ceil(3 * sx)), 2 * w), min(int(np.ceil(3 * sy)), 2 * h)
-    sm = imgproc.convolve(imgproc.GrayImage(plane.astype(np.float64)),
+    sm = imgproc.convolve(plane.astype(np.float64),
                           imgproc.gaussian_kernel(sx, rx), "horizontal")
     sm = imgproc.convolve(sm, imgproc.gaussian_kernel(sy, ry), "vertical")
     gx, _gy = imgproc.spatial_gradient(sm)

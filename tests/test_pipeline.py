@@ -12,10 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flownav import egomotion, flow, scene
+from flownav import egomotion, flow, imgproc, scene
 from flownav.errors import DegenerateGeometryError, InsufficientFlowError
 from flownav.flow import FlowField
-from flownav.imgproc import GrayImage
 from flownav.pipeline import (CLUSTER_RADIUS, COMMIT_DEV_MAX, COMMIT_LAT_MAX,
                               DT as SIM_DT, FB_TOL, MIN_FLOW_SPEED, OBS_CONFIRM,
                               OBS_DEADBAND, OBS_GAP_MAX, OBS_GOAL_GATE,
@@ -25,7 +24,7 @@ from flownav.pipeline import (CLUSTER_RADIUS, COMMIT_DEV_MAX, COMMIT_LAT_MAX,
 from flownav.vehicle import VehicleState, rotational_manifold
 
 from test_egomotion import make_field
-from test_flow import bits, grid_points, shifted, textured
+from test_flow import bits, grid_points, pyramid, shifted, textured
 
 DT = 0.5          # frame-pair interval, s: obs_hold 4 s = 8 frames
 DETECT = 1e-3     # lateral force EMA well past the 1e-4 deadband
@@ -146,9 +145,8 @@ class TestFbVerify:
         of the next frame, which is the previous one moved by SHIFT px."""
         vs = vision()
         base = textured(128, 160, 21)
-        vs.prev_pyr = flow.build_pyramid(GrayImage(base), PYR_LEVELS)
-        img = GrayImage(shifted(base, *self.SHIFT))
-        return vs, flow.build_pyramid(img, PYR_LEVELS)
+        vs.prev_pyr = pyramid(base, PYR_LEVELS)
+        return vs, pyramid(shifted(base, *self.SHIFT), PYR_LEVELS)
 
     def test_consistent_track_survives(self, scene_pair):
         vs, pyr = scene_pair
@@ -176,7 +174,7 @@ class TestFbVerify:
 
     def test_matches_position_keyed_pairing(self, scene_pair):
         vs, pyr = scene_pair
-        fwd = flow.track(vs.prev_pyr[0], pyr[0], grid_points(160, 128, step=13))
+        fwd = flow.track(vs.prev_pyr, pyr, grid_points(160, 128, step=13))
         rng = np.random.default_rng(4)
         disp = fwd.disp + rng.choice([0.0, 0.0, 0.6, 1.2, 2.5], fwd.disp.shape)
         ff = FlowField(fwd.pts, disp, fwd.valid)
@@ -200,8 +198,7 @@ def fb_verify_ref(vs, flagged, ff_raw, pyr):
         targets.append((x + v[0], y + v[1]))
     if not targets:
         return []
-    back = flow.track(pyr[0], vs.prev_pyr[0], targets, levels=PYR_LEVELS,
-                      prev_pyr=pyr, next_pyr=vs.prev_pyr)
+    back = flow.track(pyr, vs.prev_pyr, targets)
     out = []
     for (item, v), (bvx, bvy), ok in zip(items, back.disp.tolist(),
                                          back.valid.tolist()):
@@ -357,7 +354,7 @@ class TestOneFitPerField:
     def second_update(self, dpsi, fits):
         vs = vision()
         base = textured(240, 320, 3)
-        vs.update(GrayImage(base), DT)
+        vs.update(base, DT)
         vs.prev_pts = grid_points(320, 240)
         fitted, seen = [], []
 
@@ -368,7 +365,7 @@ class TestOneFitPerField:
         vs._fit = fake_fit
         vs._update_obstacle = lambda ff, ff_raw, pyr, foe: seen.append(
             (ff, ff_raw, foe))
-        ff = vs.update(GrayImage(shifted(base, 2, 1)), DT, dpsi=dpsi)
+        ff = vs.update(shifted(base, 2, 1), DT, dpsi=dpsi)
         (ff_obs, ff_raw, foe), = seen
         assert ff_raw is ff
         return vs, ff, fitted, ff_obs, foe
@@ -388,6 +385,32 @@ class TestOneFitPerField:
     def test_no_fit_holds_the_estimate(self, dpsi):
         vs, _, _, _, foe = self.second_update(dpsi, (None, None))
         assert foe is vs.foe
+
+
+def test_one_gradient_per_level_per_image(monkeypatch):
+    """update takes each pyramid level's gradient once per image: level 0's
+    serves the corners and the pyramid, and the forward track and the
+    forward-backward check read both images' pyramids. Three frames of the
+    obstacles course 30 m before box 1, where the second frame's flags are
+    checked backward."""
+    world = scene.make_course("obstacles", seed=7)
+    cam = scene.CameraModel()
+    vs = VisionState(PipelineConfig(course="obstacles"), cam)
+    shapes, fb = [], []
+    gradient = imgproc.spatial_gradient
+    monkeypatch.setattr(imgproc, "spatial_gradient",
+                        lambda img: shapes.append(img.shape) or gradient(img))
+    fb_verify = vs._fb_verify
+    vs._fb_verify = lambda *args: fb.append(len(shapes)) or fb_verify(*args)
+    v = vs.config.vehicle_params.v_d
+    levels = [(240, 320), (120, 160), (60, 80)]
+    assert len(levels) == PYR_LEVELS
+    for k in range(3):
+        x, y, h = world.road.pose_at(40.0 + k * 4 * SIM_DT * v)
+        vs.update(scene.render(world, cam, VehicleState(x=x, y=y, psi=h, v=v)),
+                  4 * SIM_DT)
+        assert shapes == levels * (k + 1)
+    assert fb
 
 
 # ---------------------------------------------------------------------------

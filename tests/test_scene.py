@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from flownav import features, scene
+from flownav import features, imgproc, scene
 from flownav.errors import InvalidParameterError
-from flownav.imgproc import GrayImage
 from flownav.scene import (BoxObstacle, CameraModel, Road, RoadSegment,
                            WorldConfig, degrade, ground_truth, make_course,
                            render, value_noise)
@@ -109,24 +108,25 @@ class TestRender:
 
     def test_shape_and_range(self):
         img = render(self.world, self.cam, self.world.start_state)
-        assert img.data.shape == (240, 320)
-        assert img.data.min() >= 0.0 and img.data.max() <= 1.0
+        assert img.shape == (240, 320)
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_sky_above_horizon(self):
         img = render(self.world, self.cam, self.world.start_state)
         hrow = int(self.cam.horizon_row)
-        assert np.allclose(img.data[: hrow - 2], scene.SKY_INTENSITY)
-        assert not np.allclose(img.data[hrow + 5], scene.SKY_INTENSITY)
+        assert np.allclose(img[: hrow - 2], scene.SKY_INTENSITY)
+        assert not np.allclose(img[hrow + 5], scene.SKY_INTENSITY)
 
     def test_deterministic(self):
         a = render(self.world, self.cam, self.world.start_state)
         b = render(self.world, self.cam, self.world.start_state)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_enough_texture_for_tracking(self):
         # the quality level matches the closed-loop pipeline default
         img = render(self.world, self.cam, self.world.start_state)
-        pts = features.detect_corners(img, max_corners=400, quality_level=0.002,
+        pts = features.detect_corners(imgproc.spatial_gradient(img),
+                                      max_corners=400, quality_level=0.002,
                                       row_range=(int(self.cam.horizon_row) + 2, 240))
         assert len(pts) >= 100
 
@@ -136,7 +136,7 @@ class TestRender:
         img_o = render(world, self.cam, world.start_state)
         img_p = render(plain, self.cam, plain.start_state)
         # the dark box at s=70 ahead changes a patch of pixels
-        assert np.abs(img_o.data - img_p.data).max() > 0.2
+        assert np.abs(img_o - img_p).max() > 0.2
 
     def test_forward_motion_expands_flow(self):
         # two renders a step apart: features below the horizon move outward
@@ -146,8 +146,11 @@ class TestRender:
         a = render(self.world, self.cam, s0)
         b = render(self.world, self.cam, s1)
         from flownav import flow
-        pts = features.detect_corners(a, max_corners=150, row_range=(130, 238))
-        ff = flow.track(a, b, pts, window=15, levels=2)
+        ga = imgproc.spatial_gradient(a)
+        pts = features.detect_corners(ga, max_corners=150, row_range=(130, 238))
+        ff = flow.track(flow.build_pyramid(a, ga, 2),
+                        flow.build_pyramid(b, imgproc.spatial_gradient(b), 2),
+                        pts, window=15)
         vs = ff.disp[ff.valid]
         assert len(vs) >= 20
         # dominant vertical motion should be downward (scene streams past)
@@ -170,15 +173,15 @@ class TestDegrade:
         img = render(world, CameraModel(), world.start_state)
         a = degrade(img, "rain", seed=3)
         b = degrade(img, "rain", seed=3)
-        assert np.array_equal(a.data, b.data)
-        assert not np.allclose(a.data, img.data)
+        assert np.array_equal(a, b)
+        assert not np.allclose(a, img)
 
     def test_rain_upper_image_untouched_except_droplets(self):
         world = make_course("straight")
         img = render(world, CameraModel(), world.start_state)
         out = degrade(img, "rain", seed=3)
         h0 = int(0.4 * 240)
-        diff = np.abs(out.data[:h0] - img.data[:h0])
+        diff = np.abs(out[:h0] - img[:h0])
         # only droplet ellipses touch the top band
         assert (diff > 0).mean() < 0.25
 
@@ -404,7 +407,7 @@ def _ref_render(world, cam, state):
 
 def _ref_degrade(img, seed):
     """Wet-road mirror plus 40 full-frame droplet blobs."""
-    data = img.data.copy()
+    data = img.copy()
     h, w = data.shape
     h0 = int(0.4 * h)
     rows = np.arange(h0, h)
@@ -459,10 +462,10 @@ def test_render_matches_full_frame_reference(s, d, dh, case):
                          psi=h + dh)
     assert _box_case(cam, state, world.obstacles[0]) == case
     want = _ref_render(world, cam, state)
-    assert np.array_equal(render(world, cam, state).data, want)
+    assert np.array_equal(render(world, cam, state), want)
     if case in ("window", "straddle"):
         bare = render(dataclasses.replace(world, obstacles=[]), cam, state)
-        assert not np.array_equal(bare.data, want)   # the box is drawn
+        assert not np.array_equal(bare, want)   # the box is drawn
 
 
 # (arclength, lateral offset, heading offset from the road, texture seed) on
@@ -499,7 +502,7 @@ def test_ground_matches_full_frame_reference(s, d, dh, seed):
     world = make_course("straight-arc", seed=seed)
     cam = CameraModel()
     state = _road_state(world, s, d, dh)
-    assert _bit_equal(render(world, cam, state).data,
+    assert _bit_equal(render(world, cam, state),
                       _ref_render(world, cam, state))
 
 
@@ -555,13 +558,13 @@ def test_rain_matches_full_frame_reference(seed):
     img = render(world, CameraModel(), world.start_state)
     want = _ref_degrade(img, seed)
     for _ in range(2):      # the second call reads the cached droplets
-        assert np.array_equal(degrade(img, "rain", seed=seed).data, want)
+        assert np.array_equal(degrade(img, "rain", seed=seed), want)
 
 
 def test_rain_droplets_cached_per_shape():
     rng = np.random.default_rng(0)
-    img = GrayImage(rng.uniform(0.0, 1.0, (90, 130)))
-    assert np.array_equal(degrade(img, "rain", seed=7).data,
+    img = rng.uniform(0.0, 1.0, (90, 130))
+    assert np.array_equal(degrade(img, "rain", seed=7),
                           _ref_degrade(img, 7))
     patches = scene._droplet_patches((90, 130), 7)
     assert patches is scene._droplet_patches((90, 130), 7)
