@@ -213,6 +213,7 @@ def cmd_replay(args):
 
     cam = scene.CameraModel()
     params = config.vehicle_params
+    pipeline.hold_frame_heap()
     vision = pipeline.VisionState(config, cam)
     # one fixed frame interval drives the dead reckoning, every LK pair and
     # every control step

@@ -11,6 +11,11 @@ from .errors import InvalidParameterError
 WINDOW_SIGMA = 1.5
 WINDOW_RADIUS = 2
 BORDER_MARGIN = 3
+# pixels per strip of the response: two strips cover the closed loop's band
+# of 190 rows, and a strip's structure-tensor temporaries stay near 2 MB
+_RESPONSE_BLOCK = 1 << 15
+# gradient rows read above and below a strip, more than WINDOW_RADIUS
+_RESPONSE_PAD = 5
 
 
 def corner_response(gx, gy):
@@ -40,6 +45,11 @@ def detect_corners(grad, max_corners=400, quality_level=0.005, min_distance=7,
 
     row_range optionally limits detection to rows [lo, hi) — e.g. to skip a
     featureless sky band.
+
+    The response is formed in strips of whole prefilter cells of at most
+    _RESPONSE_BLOCK pixels, each from the gradient rows it spans padded by
+    _RESPONSE_PAD, and reduced to its cells' best pixels at once; only the
+    per-cell best scores and positions cover the frame.
     """
     gx, gy = grad
     h, w = gx.shape
@@ -48,37 +58,38 @@ def detect_corners(grad, max_corners=400, quality_level=0.005, min_distance=7,
     if not 0.0 < quality_level <= 1.0:
         raise InvalidParameterError("quality_level must be in (0, 1]")
 
+    # rows and columns that may hold a corner; the response is zero elsewhere
     m = BORDER_MARGIN
-    if row_range is not None:
-        # evaluate the response only on the padded row band; the response at
-        # a pixel reads the gradient within 2 px, so a 5-px pad is exact
-        lo, hi = max(row_range[0], 0), min(row_range[1], h)
-        pad = 5
-        y_off = max(lo - pad, 0)
-        sub = corner_response(gx[y_off:hi + pad], gy[y_off:hi + pad])
-        resp = np.zeros((h, w))
-        resp[y_off:y_off + sub.shape[0]] = sub
-    else:
-        resp = corner_response(gx, gy)
-    mask = np.zeros_like(resp, dtype=bool)
-    mask[m:-m, m:-m] = True
-    if row_range is not None:
-        mask[:lo] = False
-        mask[hi:] = False
-    resp = np.where(mask, resp, 0.0)
-
-    max_score = resp.max()
-    if max_score <= 0.0:
-        return np.empty((0, 2))
+    lo, hi = (0, h) if row_range is None else row_range
+    lo, hi = max(lo, m), min(hi, h - m)
     # prefilter: keep only the best pixel of each cell of side
     # min_distance/sqrt(2), anchored at (0, 0), ties to the lowest row, then
     # the lowest column — any two points in such a cell conflict anyway, so
     # this is exactly equivalent to the full greedy suppression
     pre = max(1, int(min_distance / math.sqrt(2.0)))
     nh, nw = -(-h // pre), -(-w // pre)
-    cells = np.pad(resp, ((0, nh * pre - h), (0, nw * pre - w)))
-    cells = cells.reshape(nh, pre, nw, pre).swapaxes(1, 2).reshape(nh, nw, -1)
-    arg, best = cells.argmax(axis=2), cells.max(axis=2)
+    best = np.zeros((nh, nw))
+    arg = np.zeros((nh, nw), dtype=np.intp)
+    for cells in imgproc.blocks(lo // pre, -(-hi // pre), pre * w,
+                                _RESPONSE_BLOCK):
+        a, b = cells.start * pre, cells.stop * pre
+        ra, rb = max(a, lo), min(b, hi)
+        # the response at a pixel reads the gradient within WINDOW_RADIUS
+        # rows, so a crop padded by more than that is exact on rows [ra, rb)
+        y0 = max(ra - _RESPONSE_PAD, 0)
+        sub = corner_response(gx[y0:rb + _RESPONSE_PAD],
+                              gy[y0:rb + _RESPONSE_PAD])
+        resp = np.zeros((b - a, nw * pre))
+        resp[ra - a:rb - a, m:w - m] = sub[ra - y0:rb - y0, m:w - m]
+        del sub
+        resp = resp.reshape(-1, pre, nw, pre).swapaxes(1, 2).reshape(
+            -1, nw, pre * pre)
+        arg[cells] = resp.argmax(axis=2)
+        best[cells] = resp.max(axis=2)
+
+    max_score = best.max()
+    if max_score <= 0.0:
+        return np.empty((0, 2))
     cy, cx = np.nonzero(best >= quality_level * max_score)
     arg = arg[cy, cx]
     ys, xs = cy * pre + arg // pre, cx * pre + arg % pre

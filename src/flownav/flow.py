@@ -10,6 +10,9 @@ from .errors import InvalidParameterError
 
 PYRAMID_SIGMA = 1.0
 MIN_EIGEN = 1e-6
+# window samples per block of points: a block's sampling temporaries stay
+# under 1 MB, about 52 points of a 25 x 25 window
+_TRACK_BLOCK = 1 << 15
 
 
 @dataclass
@@ -119,17 +122,38 @@ def _patches(data, xs, ys, corners):
     (float64), read straight from the pixels when the windows sit on whole
     pixels (`corners`, see _whole_pixel_corners) and that is exact.
 
+    Sampled windows are formed a block of at most _TRACK_BLOCK samples at a
+    time; each point's samples are its own, so blocks change no result.
+
     With zero fractions _sample blends (T*1 + T'*0)*1 + (...)*0, which is T
     unless T is -0.0 (a +0.0 term makes it +0.0) or a neighbour it reads is
     not finite (its zero weight makes a NaN); an image holding either is
     sampled.
     """
+    m, win = xs.shape
     if (corners is not None and np.isfinite(data).all()
             and not (np.signbit(data) & (data == 0)).any()):
-        m, win = xs.shape
         return sliding_window_view(data, (win, win))[corners].reshape(
             m, win * win).astype(np.float64, copy=False)
-    return _sample(data, xs, ys)
+    out = np.empty((m, win * win))
+    for blk in imgproc.blocks(0, m, win * win, _TRACK_BLOCK):
+        out[blk] = _sample(data, xs[blk], ys[blk])
+    return out
+
+
+def _dots(x, y, buf, out):
+    """Row sums of x * y into out, the products formed in the first rows of
+    buf: each sums as np.sum(x * y, axis=1) does."""
+    p = buf[:len(x)]
+    np.multiply(x, y, out=p)
+    p.sum(axis=1, out=out)
+
+
+def _compact(arrays, keep):
+    """Replace each array of the list by its rows keep, one at a time, so
+    that at most one array is held twice."""
+    for k in range(len(arrays)):
+        arrays[k] = arrays[k][keep]
 
 
 def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
@@ -146,6 +170,12 @@ def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
     fractions are computed per window row and column (see _sample). At
     level 0, windows centred on whole pixels (the forward call's corners)
     are read straight from the pixels (see _patches).
+
+    Windows are sampled, and their normal-equation sums formed, a block of
+    at most _TRACK_BLOCK samples at a time, the products in one reused
+    buffer; the working set of points still iterating is compacted one
+    array at a time. Only the template windows of a level are held for
+    every point, so a call's temporaries stay a few MB.
     """
     levels = len(prev_pyr)
     if len(next_pyr) != levels or prev_pyr[0][0].shape != next_pyr[0][0].shape:
@@ -189,10 +219,13 @@ def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
         patch_p, patch_gx, patch_gy = (        # (m, win*win), float64
             _patches(a, sx, sy, corners) for a in prev_pyr[lvl])
         data_n = next_pyr[lvl][0]
-
-        g11 = np.sum(patch_gx * patch_gx, axis=1)
-        g12 = np.sum(patch_gx * patch_gy, axis=1)
-        g22 = np.sum(patch_gy * patch_gy, axis=1)
+        blocks = imgproc.blocks(0, len(idx), window * window, _TRACK_BLOCK)
+        prod = np.empty((blocks[0].stop, window * window))
+        g11, g12, g22 = (np.empty(len(idx)) for _ in range(3))
+        for blk in blocks:
+            _dots(patch_gx[blk], patch_gx[blk], prod, g11[blk])
+            _dots(patch_gx[blk], patch_gy[blk], prod, g12[blk])
+            _dots(patch_gy[blk], patch_gy[blk], prod, g22[blk])
         trace = g11 + g22
         lam_min = 0.5 * (trace - np.sqrt((g11 - g22) ** 2 + 4 * g12 * g12))
         good = lam_min >= MIN_EIGEN
@@ -203,20 +236,27 @@ def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
         dv = d[idx].astype(np.float32)
         done = np.zeros(len(idx), dtype=bool)
         # working set of the points still iterating, compacted only when
-        # some of them converge (nothing writes into it, so it may alias)
+        # some of them converge, one array at a time (nothing writes into
+        # it, so it may alias)
         a = np.nonzero(good)[0]
         ws = [sx, sy, patch_p, patch_gx, patch_gy, g11, g12, g22, det]
+        del patch_p, patch_gx, patch_gy
         if not good.all():
-            ws = [x[a] for x in ws]
+            _compact(ws, a)
         for _ in range(max_iters):
             if not a.size:
                 break
             wsx, wsy, wp, wgx, wgy, w11, w12, w22, wdet = ws
-            nx = wsx + dv[a, 0:1]
-            ny = wsy + dv[a, 1:2]
-            diff = wp - _sample(data_n, nx, ny)
-            b1 = np.sum(diff * wgx, axis=1)
-            b2 = np.sum(diff * wgy, axis=1)
+            b1, b2 = np.empty(a.size), np.empty(a.size)
+            for blk in imgproc.blocks(0, a.size, window * window,
+                                      _TRACK_BLOCK):
+                ab = a[blk]
+                diff = _sample(data_n, wsx[blk] + dv[ab, 0:1],
+                               wsy[blk] + dv[ab, 1:2])
+                np.subtract(wp[blk], diff, out=diff)
+                _dots(diff, wgx[blk], prod, b1[blk])
+                _dots(diff, wgy[blk], prod, b2[blk])
+            del wp, wgx, wgy, diff    # not held twice while compacting
             ux = (w22 * b1 - w12 * b2) / wdet
             uy = (-w12 * b1 + w11 * b2) / wdet
             dv[a, 0] += ux
@@ -224,9 +264,9 @@ def track(prev_pyr, next_pyr, points, window=25, epsilon=0.03, max_iters=30,
             small = np.hypot(ux, uy) < epsilon
             if small.any():
                 done[a[small]] = True
-                keep = ~small
+                keep = np.flatnonzero(~small)
                 a = a[keep]
-                ws = [x[keep] for x in ws]
+                _compact(ws, keep)
         d[idx] = dv
         if lvl == 0:
             # displaced window must also stay inside the frame — clamped

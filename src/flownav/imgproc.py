@@ -17,6 +17,14 @@ _DBL_EPSILON = np.finfo(np.float64).eps
 _CONVOLVE_BLOCK = 1 << 14
 
 
+def blocks(start, stop, size, budget):
+    """Slices that split the items [start, stop), each of `size` elements,
+    into runs of at most `budget` elements (at least one item each): the
+    blocks in which the per-frame stages bound their temporaries."""
+    step = max(1, budget // size)
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
 def gaussian_kernel(sigma, radius):
     """Normalized 1-D Gaussian taps; 2-D smoothing is two separable passes."""
     if not np.isfinite(sigma) or sigma <= 0:
@@ -73,14 +81,15 @@ def convolve(img, kernel, axis):
         step, span, halo = 1, w + 2 * r, 0
     else:
         step, span, halo = w, w, r
-    rows = max(1, min(_CONVOLVE_BLOCK // span, h))
+    strips = blocks(0, h, span, _CONVOLVE_BLOCK)
+    rows = strips[0].stop if strips else 1
     src = np.empty((rows + 2 * halo, span))
     acc = np.empty(rows * span) if ax else None
     # products of several taps at once when a strip is small
     block = max(1, min(_CONVOLVE_BLOCK // (rows * span), taps))
     buf = np.empty((block, rows * span))
-    for a in range(0, h, rows):
-        b = min(a + rows, h)
+    for strip in strips:
+        a, b = strip.start, strip.stop
         m = b - a
         s = src[:m + 2 * halo]
         if ax:

@@ -4,11 +4,14 @@ potential field -> sliding-mode commands -> bicycle step.
 Owns the settable configuration (`PipelineConfig` and its vehicle
 parameters; every other stage value is a named constant beside its
 reader), the one control step that the vision-guided run calls and replay
-runs under a straight-lane `Observation`, and the drive loop shared by the
-vision-guided run and the waypoint-PID baseline.
+runs under a straight-lane `Observation`, the drive loop shared by the
+vision-guided run and the waypoint-PID baseline, and the malloc thresholds
+the frame loops run under (`hold_frame_heap`).
 """
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -428,9 +431,38 @@ def _drive(config, world, control):
     return rows, summarize(rows, goal_reached, diverged), world
 
 
+# glibc's mallopt parameters (malloc.h) and the values hold_frame_heap sets:
+# the mmap threshold above every per-frame block (the largest, one level's
+# LK windows of 150 corners, is 0.75 MB), the trim threshold above one
+# stage's burst of blocks (render's strips, about 3.5 MB)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_FRAME_MMAP_THRESHOLD = 2 << 20
+_FRAME_TRIM_THRESHOLD = 4 << 20
+
+
+def hold_frame_heap():
+    """Keep the frame loop's freed temporaries in the heap (glibc only).
+
+    Every per-frame stage allocates and frees a few MB of blocks. glibc's
+    default thresholds follow the largest mmapped block freed so far, here
+    one 0.6 MB frame: larger blocks are mapped afresh, and a free heap top
+    of more than twice that is handed back to the OS, so each stage faults
+    its pages in again (1 300-3 300 minor faults and 2-5 ms of system time
+    per frame on the perfbench workloads). Fixed thresholds keep the blocks
+    for the next stage at about 0.5 MB of peak RSS. Other C libraries are
+    left as they are."""
+    if not sys.platform.startswith("linux"):
+        return
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "gnu_get_libc_version"):
+        libc.mallopt(_M_MMAP_THRESHOLD, _FRAME_MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, _FRAME_TRIM_THRESHOLD)
+
+
 def run_simulation(config, world=None, cam=None):
     """Vision-in-the-loop run. Returns (trace rows, summary dict, world)."""
     config.validate()
+    hold_frame_heap()
     if world is None:
         world = scene.make_course(config.course, seed=config.seed)
     if cam is None:

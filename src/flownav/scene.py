@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import imgproc
 from .errors import InvalidParameterError
 from .vehicle import VehicleState, wrap_angle
 
@@ -94,12 +95,22 @@ class Road:
 
         Returns (s, d): arclength (clamped to [0, total]) and signed lateral
         offset, positive left of travel direction.
+
+        An arc after the first segment is evaluated only at the points it
+        may win: no point of the arc is nearer to p than
+        |hypot(p - centre) - R|, so where that bound exceeds the best
+        distance so far by more than 1e-6 m (far beyond rounding) the arc
+        cannot be strictly closer, and its formula is skipped there, unless
+        the bound keeps more than half of the points.
         """
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
+        px, py = np.broadcast_arrays(np.asarray(px, dtype=np.float64),
+                                     np.asarray(py, dtype=np.float64))
+        shape = px.shape
+        px, py = px.ravel(), py.ravel()
         for k, (seg, (s0, x0, y0, h)) in enumerate(zip(self.segments,
                                                         self._starts)):
             ch, sh = math.cos(h), math.sin(h)
+            at = slice(None)            # the points this segment is run on
             if seg.kind == "straight":
                 s_loc = np.clip(ch * (px - x0) + sh * (py - y0), 0.0, seg.length)
                 ddx = px - (x0 + s_loc * ch)
@@ -108,25 +119,41 @@ class Road:
             else:
                 ccx = x0 - seg.radius * sh * seg.turn
                 ccy = y0 + seg.radius * ch * seg.turn
+                qx, qy = px, py
+                if k:
+                    bound = np.abs(np.hypot(px - ccx, py - ccy) - seg.radius)
+                    near = bound <= best_dist + 1e-6
+                    # gathering pays where the straight wins most points
+                    # (obstacles' view of the road), but costs more than the
+                    # formula it skips where the arc wins most (clear, rain)
+                    if 2 * np.count_nonzero(near) <= near.size:
+                        at = np.flatnonzero(near)
+                        qx, qy = px[at], py[at]
                 a0 = math.atan2(y0 - ccy, x0 - ccx)
-                ang = np.arctan2(py - ccy, px - ccx)
+                ang = np.arctan2(qy - ccy, qx - ccx)
                 sweep = (ang - a0) * seg.turn
                 sweep = np.mod(sweep + math.pi, 2 * math.pi) - math.pi
                 s_loc = np.clip(sweep * seg.radius, 0.0, seg.length)
                 a = a0 + s_loc / seg.radius * seg.turn
-                ddx = px - (ccx + seg.radius * np.cos(a))
-                ddy = py - (ccy + seg.radius * np.sin(a))
+                ddx = qx - (ccx + seg.radius * np.cos(a))
+                ddy = qy - (ccy + seg.radius * np.sin(a))
                 hh = h + s_loc / seg.radius * seg.turn
                 lat = -np.sin(hh) * ddx + np.cos(hh) * ddy
             dist = np.hypot(ddx, ddy)
             if k == 0:
                 best_dist, best_s, best_d = dist, s0 + s_loc, lat
                 continue
-            closer = dist < best_dist
-            best_dist = np.where(closer, dist, best_dist)
-            best_s = np.where(closer, s0 + s_loc, best_s)
-            best_d = np.where(closer, lat, best_d)
-        return best_s, best_d
+            closer = dist < best_dist[at]
+            if isinstance(at, slice):
+                for best, new in ((best_dist, dist), (best_s, s0 + s_loc),
+                                  (best_d, lat)):
+                    np.copyto(best, new, where=closer)
+            else:
+                won = np.flatnonzero(closer)
+                best_dist[at[won]] = dist[won]
+                best_s[at[won]] = s0 + s_loc[won]
+                best_d[at[won]] = lat[won]
+        return best_s.reshape(shape), best_d.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +190,17 @@ class CameraModel:
     width: int = 320
     height: int = 240
 
-    _dirs: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def pixel_dirs(self):
-        """Cached camera-frame ray directions (x right, y down, z forward)."""
-        if self._dirs is None:
-            us, vs = np.meshgrid(np.arange(self.width), np.arange(self.height))
-            self._dirs = np.stack([(us - self.cx) / self.focal,
-                                   (vs - self.cy) / self.focal,
-                                   np.ones_like(us, dtype=np.float64)], axis=-1)
-        return self._dirs
+    def pixel_dirs(self, rows=slice(None), cols=slice(None)):
+        """Camera-frame ray directions (x right, y down, z forward) of the
+        pixels in the given row and column slices, the whole frame by
+        default: a (rows, cols, 3) array, computed from the current fields
+        on every call. Each ray depends on its own pixel alone, so a block
+        of them equals the same block of the whole frame's."""
+        us, vs = np.meshgrid(np.arange(self.width)[cols],
+                             np.arange(self.height)[rows])
+        return np.stack([(us - self.cx) / self.focal,
+                         (vs - self.cy) / self.focal,
+                         np.ones_like(us, dtype=np.float64)], axis=-1)
 
     @property
     def horizon_row(self):
@@ -343,6 +371,9 @@ def _box_shade(box, hit, seed):
 _PLANE_MARGIN = 0.01
 # pixels added around a box's projected corners, far beyond slab-test rounding
 _WINDOW_PAD = 2
+# pixels per strip of render: a strip's rays and shading temporaries are a
+# few MB at most, and a box window of up to this many pixels is one strip
+_RENDER_BLOCK = 1 << 14
 
 
 def _box_window(lo, hi, origin, basis, cam):
@@ -375,12 +406,18 @@ def render(world, cam, state):
     """Render the grayscale camera view for a vehicle state. Deterministic.
 
     Boxes are ray-cast only inside their screen-space window and shaded only
-    where they are the nearest hit; every pixel equals a full-frame cast."""
+    where they are the nearest hit; every pixel equals a full-frame cast.
+
+    The ground slab and each box window are cast and shaded in strips of
+    rows of at most _RENDER_BLOCK pixels, with each strip's rays formed on
+    their own, so no full-frame ray or shading temporary exists; a window
+    that small stays one strip. Every step is per-pixel arithmetic, so the
+    strips change no pixel. The frame itself and, only when some box window
+    is cast, each pixel's nearest hit so far are the full-frame arrays."""
     if cam.offset[2] <= 0:
         raise InvalidParameterError("camera must sit above the ground plane")
     right, down, forward = _camera_basis(state.psi, cam.pitch)
     basis = np.stack([right, down, forward])          # (3, 3)
-    dirs = cam.pixel_dirs() @ basis                   # (H, W, 3) world rays
     cp, sp = math.cos(state.psi), math.sin(state.psi)
     ox = state.x + cam.offset[0] * cp - cam.offset[1] * sp
     oy = state.y + cam.offset[0] * sp + cam.offset[1] * cp
@@ -388,38 +425,44 @@ def render(world, cam, state):
 
     # no roll: a ray's z depends on its row alone, so the ground is the slab
     # of rows from r0 down
-    below = dirs[:, 0, 2] < -1e-9
+    below = (cam.pixel_dirs(cols=slice(0, 1)) @ basis)[:, 0, 2] < -1e-9
     r0 = int(np.argmax(below)) if below.any() else cam.height
-    img = np.full(dirs.shape[:2], SKY_INTENSITY)
-    t_best = np.full(dirs.shape[:2], np.inf)
-    if r0 < cam.height:
-        dx, dy, dz = (dirs[r0:, :, k] for k in range(3))
+    boxes = []
+    for box in world.obstacles:
+        lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
+        hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
+        win = _box_window(lo, hi, origin, basis, cam)
+        if win is not None:
+            boxes.append((box, lo, hi, win))
+    img = np.full((cam.height, cam.width), SKY_INTENSITY)
+    t_best = np.full(img.shape, np.inf) if boxes else None
+    for rows in imgproc.blocks(r0, cam.height, cam.width, _RENDER_BLOCK):
+        dirs = cam.pixel_dirs(rows) @ basis           # (strip, W, 3) world rays
+        dx, dy, dz = (dirs[..., k] for k in range(3))
         t = -origin[2] / dz
-        t_best[r0:] = t
+        if t_best is not None:
+            t_best[rows] = t
         gx = origin[0] + dx * t
         gy = origin[1] + dy * t
         # ground footprint of one pixel: (t * |dir| / f) across the ray,
         # divided by the grazing factor |dz| / |dir|
         foot = (t * (dx * dx + dy * dy + dz * dz)
                 / (cam.focal * np.maximum(np.abs(dz), 1e-9)))
-        del t                   # not held while shading: a lower peak
-        img[r0:] = _shade_ground(world, gx.ravel(), gy.ravel(),
-                                 foot.ravel()).reshape(gx.shape)
+        del dirs, dx, dy, dz, t     # not held while shading: a lower peak
+        img[rows] = _shade_ground(world, gx.ravel(), gy.ravel(),
+                                  foot.ravel()).reshape(gx.shape)
 
-    for box in world.obstacles:
-        lo = np.array([box.x - box.hx, box.y - box.hy, 0.0])
-        hi = np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz])
-        win = _box_window(lo, hi, origin, basis, cam)
-        if win is None:
-            continue
-        dirs_w = dirs[win]
-        t_box = _box_t(lo, hi, origin, dirs_w)
-        closer = t_box < t_best[win]
-        t_hit = t_box[closer]
-        img[win][closer] = _box_shade(
-            box, origin + dirs_w[closer] * t_hit[:, None], world.texture_seed)
-        t_best[win][closer] = t_hit
-    return np.clip(img, 0.0, 1.0)
+    for box, lo, hi, (win_rows, cols) in boxes:
+        for rows in imgproc.blocks(win_rows.start, win_rows.stop,
+                                   cols.stop - cols.start, _RENDER_BLOCK):
+            dirs = cam.pixel_dirs(rows, cols) @ basis
+            t_box = _box_t(lo, hi, origin, dirs)
+            closer = t_box < t_best[rows, cols]
+            t_hit = t_box[closer]
+            img[rows, cols][closer] = _box_shade(
+                box, origin + dirs[closer] * t_hit[:, None], world.texture_seed)
+            t_best[rows, cols][closer] = t_hit
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +513,28 @@ def _droplet_patches(shape, seed):
 
 def degrade(img, mode, seed=0):
     """Weather degradation: identity for 'clear', wet-road mirror plus
-    windshield droplets for 'rain'."""
+    windshield droplets for 'rain'.
+
+    The output copy of img is the one full-frame array made: the mirror is
+    blended into it in place, in strips of at most _RENDER_BLOCK pixels
+    read from img, which is left as it is; droplets and the clip work in
+    place too."""
     if mode == "clear":
         return img
     if mode != "rain":
         raise InvalidParameterError(f"unknown weather mode {mode!r}")
-    data = img.copy()
-    h, w = data.shape
+    out = img.copy()
+    h, w = out.shape
     h0 = int(0.4 * h)
-    rows = np.arange(h0, h)
-    src = np.clip(2 * h0 - rows, 0, h - 1)
-    data[rows] = 0.65 * data[rows] + 0.35 * data[src]
+    for rows in imgproc.blocks(h0, h, w, _RENDER_BLOCK):
+        src = np.clip(2 * h0 - np.arange(rows.start, rows.stop), 0, h - 1)
+        mirror = img[src]
+        mirror *= 0.35
+        out[rows] *= 0.65
+        out[rows] += mirror
     for win_rows, win_cols, patch in _droplet_patches((h, w), seed):
-        data[win_rows, win_cols] += patch
-    return np.clip(data, 0.0, 1.0)
+        out[win_rows, win_cols] += patch
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,18 @@ def test_detect_corners_matches_reference_at_edges(case, monkeypatch):
     ref = detect_corners_ref(img, **kwargs)
     assert np.array_equal(got, ref)
     assert (len(got) == 0) == (case == "nan")
+
+
+@pytest.mark.parametrize("row_range", [None, (0, 190), (8, 64), (9, 63),
+                                       (20, 70), (5, 83)])
+@pytest.mark.parametrize("rows", [4, 8, 48])
+def test_detect_corners_strip_edges(row_range, rows, monkeypatch):
+    # the response is formed in strips of `rows` rows; bands that start and
+    # end on a strip edge (8, 64), one row inside it (9, 63), and between
+    # edges, against the reference that forms the whole band at once
+    img = _textured(200, 130)
+    monkeypatch.setattr(features, "_RESPONSE_BLOCK", rows * 130)
+    kwargs = {"max_corners": 400, "row_range": row_range}
+    got = detect(img, **kwargs)
+    assert len(got) > 10
+    assert np.array_equal(got, detect_corners_ref(img, **kwargs))

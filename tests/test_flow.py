@@ -409,6 +409,43 @@ class TestTrackParity:
         self.check(prev, next_, pts, window=window, levels=levels)
 
 
+class TestTrackBlocks:
+    """flow.track samples and sums a block of at most _TRACK_BLOCK window
+    samples (B points of a 25 x 25 window) at a time; every point count
+    about a block edge equals track_ref bit for bit."""
+
+    H, W = 176, 256
+    B = flow._TRACK_BLOCK // 25 ** 2
+
+    def points(self, n, whole):
+        rng = np.random.default_rng(n)
+        pts = np.column_stack([rng.uniform(14, self.W - 15, n),
+                               rng.uniform(14, self.H - 15, n)])
+        return np.round(pts) if whole else pts
+
+    def check(self, pts):
+        base = textured(self.H, self.W, 17)
+        prev, next_ = base, shifted(base, 2, -1)
+        got = track_images(prev, next_, pts)
+        d, valid = track_ref(prev, next_, pts)
+        assert np.array_equal(bits(got.disp), bits(d))
+        assert np.array_equal(got.valid, valid)
+        assert valid.sum() >= 0.8 * len(pts)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 150])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_point_counts_about_a_block(self, n, whole):
+        # whole-pixel points are read directly at level 0, as the forward
+        # call's corners are; fractional ones are sampled at every level
+        assert self.B > 1
+        self.check(self.points(n, whole))
+
+    def test_blocks_of_three_points(self, monkeypatch):
+        # many blocks, whose members converge at different iterations
+        monkeypatch.setattr(flow, "_TRACK_BLOCK", 3 * 25 ** 2)
+        self.check(self.points(40, False))
+
+
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 

@@ -58,6 +58,18 @@ def naive_otsu(values, bins):
     return centers[int(np.argmax(vars_))]
 
 
+@pytest.mark.parametrize("start,stop,size,budget,want", [
+    (96, 240, 320, 1 << 14, [(96, 147), (147, 198), (198, 240)]),
+    (0, 5, 100, 250, [(0, 2), (2, 4), (4, 5)]),
+    (3, 6, 1000, 10, [(3, 4), (4, 5), (5, 6)]),   # one item over budget
+    (7, 7, 1, 10, []),
+])
+def test_blocks_cover_the_range_within_the_budget(start, stop, size, budget,
+                                                  want):
+    got = imgproc.blocks(start, stop, size, budget)
+    assert [(b.start, b.stop) for b in got] == want
+
+
 class TestGaussianKernel:
     def test_flat_limit(self):
         k = imgproc.gaussian_kernel(1e6, 2)

@@ -161,6 +161,18 @@ class TestRender:
         with pytest.raises(InvalidParameterError):
             render(self.world, cam, self.world.start_state)
 
+    @pytest.mark.parametrize("name,value", [("focal", 240.0), ("cy", 100.0),
+                                            ("width", 256)])
+    def test_follows_camera_fields_changed_after_a_render(self, name, value):
+        # rays come from the camera's current fields, never from a copy
+        # formed at an earlier render
+        cam = CameraModel()
+        render(self.world, cam, self.world.start_state)
+        setattr(cam, name, value)
+        fresh = CameraModel(**{name: value})
+        assert np.array_equal(render(self.world, cam, self.world.start_state),
+                              render(self.world, fresh, self.world.start_state))
+
 
 class TestDegrade:
     def test_clear_identity(self):
@@ -190,6 +202,13 @@ class TestDegrade:
         img = render(world, CameraModel(), world.start_state)
         with pytest.raises(InvalidParameterError):
             degrade(img, "snow")
+
+    def test_rain_leaves_its_input_as_is(self):
+        world = make_course("straight")
+        img = render(world, CameraModel(), world.start_state)
+        kept = img.copy()
+        out = degrade(img, "rain", seed=3)
+        assert out is not img and np.array_equal(img, kept)
 
 
 class TestGroundTruthAndCourses:
@@ -552,6 +571,20 @@ def test_project_matches_reference():
             assert _bit_equal(got, want)
 
 
+def test_project_matches_reference_where_segments_meet():
+    # where the straight and the arc are (nearly) as close, the arc's lower
+    # bound is within rounding of the straight's distance: a fine grid
+    # about the junction (120, 0) and about the clamped ends, where the
+    # arc's bound undercuts its distance
+    road = make_course("straight-arc").road
+    ex, ey, _ = road.pose_at(road.total_length)
+    for x0, y0 in ((120.0, 0.0), (ex, ey), (0.0, 0.0), (120.0, 400.0)):
+        gx, gy = np.meshgrid(x0 + np.linspace(-3.0, 3.0, 241),
+                             y0 + np.linspace(-3.0, 3.0, 241))
+        for got, want in zip(road.project(gx, gy), _ref_project(road, gx, gy)):
+            assert _bit_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", [3, 7])
 def test_rain_matches_full_frame_reference(seed):
     world = make_course("straight-arc", seed=seed)
@@ -570,3 +603,73 @@ def test_rain_droplets_cached_per_shape():
     assert patches is scene._droplet_patches((90, 130), 7)
     assert patches is not scene._droplet_patches((240, 320), 7)
     assert not any(p.flags.writeable for _, _, p in patches)
+
+
+# ---------------------------------------------------------------------------
+# render's strips: parity at their edges
+# ---------------------------------------------------------------------------
+#
+# render casts the ground slab and each box window in strips of at most
+# _RENDER_BLOCK pixels. The default frame's ground slab starts at row
+# r0 = 96 and is 144 rows tall.
+
+
+def _first_box_window(world, cam, state):
+    box = world.obstacles[0]
+    origin, basis, _ = _camera_rays(cam, state)
+    return scene._box_window(
+        np.array([box.x - box.hx, box.y - box.hy, 0.0]),
+        np.array([box.x + box.hx, box.y + box.hy, 2.0 * box.hz]),
+        origin, basis, cam)
+
+
+@pytest.mark.parametrize("rows", [1, 12, 13, 143, 144])
+def test_render_strips_end_at_any_row(rows, monkeypatch):
+    # 144 rows split into strips of 12 and 144 leave no remainder, 13 and
+    # 143 a one-row last strip, and 1 makes every row a strip
+    cam = CameraModel()
+    monkeypatch.setattr(scene, "_RENDER_BLOCK", cam.width * rows)
+    world = make_course("straight-arc")
+    state = _road_state(world, 119.0, 0.0, 0.1)
+    below = (cam.pixel_dirs() @ _camera_rays(cam, state)[1])[:, 0, 2] < -1e-9
+    assert int(np.argmax(below)) == 96
+    assert _bit_equal(render(world, cam, state), _ref_render(world, cam, state))
+
+
+@pytest.mark.parametrize("pitch", [-30.0, 40.0])
+def test_render_strips_with_all_ground_or_all_sky(pitch, monkeypatch):
+    # r0 = 0: the first strip starts at the top row; r0 = H: no strip
+    cam = CameraModel(pitch=math.radians(pitch))
+    monkeypatch.setattr(scene, "_RENDER_BLOCK", cam.width * 7)
+    world = make_course("obstacles")
+    state = _road_state(world, 64.0, 0.5, 0.0)
+    want = _ref_render(world, cam, state)
+    assert _bit_equal(render(world, cam, state), want)
+    if pitch < 0:
+        assert not np.any(want[0] == scene.SKY_INTENSITY)
+    else:
+        assert np.all(want[-1] == scene.SKY_INTENSITY)
+
+
+@pytest.mark.parametrize("s,d,dh,case", [st for st in OBSTACLE_STATES
+                                         if st[3] in ("window", "straddle")])
+def test_render_strip_edges_cross_box_windows(s, d, dh, case, monkeypatch):
+    # strips of 700 pixels split every window the box is cast in
+    monkeypatch.setattr(scene, "_RENDER_BLOCK", 700)
+    world = make_course("obstacles")
+    cam = CameraModel()
+    state = _road_state(world, s, d, dh)
+    rows, cols = _first_box_window(world, cam, state)
+    assert len(imgproc.blocks(rows.start, rows.stop, cols.stop - cols.start,
+                              scene._RENDER_BLOCK)) > 1
+    assert _bit_equal(render(world, cam, state), _ref_render(world, cam, state))
+
+
+def test_default_strips_split_a_near_box_window():
+    # 4 m short of the box, its window holds more than one default strip
+    world = make_course("obstacles")
+    cam = CameraModel()
+    state = _road_state(world, 66.0, 0.0, 0.4)
+    rows, cols = _first_box_window(world, cam, state)
+    assert (rows.stop - rows.start) * (cols.stop - cols.start) > scene._RENDER_BLOCK
+    assert _bit_equal(render(world, cam, state), _ref_render(world, cam, state))
