@@ -50,6 +50,15 @@ def detect_corners(grad, max_corners=400, quality_level=0.005, min_distance=7,
     _RESPONSE_BLOCK pixels, each from the gradient rows it spans padded by
     _RESPONSE_PAD, and reduced to its cells' best pixels at once; only the
     per-cell best scores and positions cover the frame.
+
+    The strips start WINDOW_RADIUS rows above the first row whose gradient
+    is non-zero and end WINDOW_RADIUS rows below the last (a NaN counts as
+    non-zero), which skips a featureless sky band. That is exact: the
+    response at a pixel reads the gradient only within its 5 x 5 window,
+    so a row whose window holds nothing but ±0.0 has zero response, the
+    score its cells start at, and a zero can never pass
+    quality_level * max (a frame whose response is all zero has no
+    corners at all).
     """
     gx, gy = grad
     h, w = gx.shape
@@ -62,6 +71,14 @@ def detect_corners(grad, max_corners=400, quality_level=0.005, min_distance=7,
     m = BORDER_MARGIN
     lo, hi = (0, h) if row_range is None else row_range
     lo, hi = max(lo, m), min(hi, h - m)
+    # ... and the rows whose window reaches a non-zero gradient
+    r = WINDOW_RADIUS
+    a0 = max(lo - r, 0)
+    live = np.flatnonzero((gx[a0:hi + r] != 0).any(axis=1)
+                          | (gy[a0:hi + r] != 0).any(axis=1))
+    if not live.size:
+        return np.empty((0, 2))
+    lo, hi = max(lo, a0 + live[0] - r), min(hi, a0 + live[-1] + r + 1)
     # prefilter: keep only the best pixel of each cell of side
     # min_distance/sqrt(2), anchored at (0, 0), ties to the lowest row, then
     # the lowest column — any two points in such a cell conflict anyway, so

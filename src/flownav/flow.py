@@ -39,9 +39,17 @@ def build_pyramid(img, grad, levels):
     """Pyramid of img, whose gradient is grad = (gx, gy): a tuple of
     `levels` triples (image, gx, gy), finest first, each array kept as the
     float32 rounding that LK samples. Level 0 is the input; each next level
-    is smoothed and halved (floor), and its gradient taken."""
+    is smoothed and halved (floor), and its gradient taken.
+
+    Halving keeps every second pixel of every second row, so only those are
+    smoothed (the REDUCE step of Burt & Adelson's Laplacian pyramid): the
+    horizontal pass forms every second column of every row, and the
+    vertical pass every second row of those columns. Each kept pixel is the
+    same sum in the same order as in a full-frame smooth, so the levels are
+    bit-identical to smoothing the whole level and then halving it."""
     if levels < 1:
         raise InvalidParameterError("levels must be >= 1")
+    k = imgproc.gaussian_kernel(PYRAMID_SIGMA, 2)
     pyr = []
     for lvl in range(levels):
         if lvl:
@@ -49,8 +57,8 @@ def build_pyramid(img, grad, levels):
             if nw < 16 or nh < 16:
                 raise InvalidParameterError(
                     f"level {lvl} would be {nw}x{nh}; coarsest level must be >= 16x16")
-            sm = imgproc.smooth(img, PYRAMID_SIGMA, radius=2)
-            img = np.ascontiguousarray(sm[: 2 * nh : 2, : 2 * nw : 2])
+            img = imgproc.convolve(imgproc.convolve(img, k, "horizontal", 2)[:, :nw],
+                                   k, "vertical", 2)[:nh]
             grad = imgproc.spatial_gradient(img)
         pyr.append(tuple(a.astype(np.float32) for a in (img, *grad)))
     return tuple(pyr)

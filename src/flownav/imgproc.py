@@ -36,7 +36,7 @@ def gaussian_kernel(sigma, radius):
     return k / k.sum()
 
 
-def convolve(img, kernel, axis):
+def convolve(img, kernel, axis, stride=1):
     """1-D convolution along 'horizontal' or 'vertical', clamp-to-edge borders.
 
     Works in float64 whatever the input dtype and returns a C-contiguous
@@ -49,12 +49,19 @@ def convolve(img, kernel, axis):
       += (x[j] + x[-j]) * fw[r+j] for j = -r..-1;
     - fw antisymmetric to DBL_EPSILON: the same with (x[j] - x[-j]);
     - otherwise: x[r]*fw[2r], then += x[j]*fw[r+j] for j = -r..r-1.
+
+    With stride s only the samples 0, s, 2s, ... along the axis are formed:
+    the result equals convolve(img, kernel, axis)[::s] along it, bit for
+    bit, since each kept sample is the same sum in the same order and no
+    sample reads another's result.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size % 2 == 0:
         raise InvalidParameterError("kernel must be 1-D with odd length")
     if axis not in ("horizontal", "vertical"):
         raise InvalidParameterError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    if stride < 1:
+        raise InvalidParameterError(f"stride must be >= 1, got {stride}")
     ax = 1 if axis == "horizontal" else 0
     data = np.asarray(img, dtype=np.float64)
     fw = kernel[::-1]
@@ -70,62 +77,65 @@ def convolve(img, kernel, axis):
     else:
         pair, taps = None, 2 * r
 
-    # The image is done in strips of rows. Each strip is copied, clamped,
-    # into a padded buffer whose flat views x[k] are the strip shifted by
-    # j = k - r, so every product and sum runs over one contiguous run and
-    # the temporaries stay small and are reused strip after strip. A
-    # horizontal strip's padded rows sit end to end: its run has 2r
+    # The image is done in strips of output rows. Each strip's source rows
+    # are copied, clamped, into a padded buffer whose strided views x[k]
+    # are the strip's kept samples shifted by j = k - r, so every product
+    # and sum runs over one strided run and the temporaries stay small and
+    # are reused strip after strip. A horizontal strip's padded rows sit
+    # end to end, each a whole number of strides long: its run has a few
     # outputs between rows that straddle two rows and are dropped.
-    out = np.empty((h, w))
     if ax:
-        step, span, halo = 1, w + 2 * r, 0
+        out = np.empty((h, -(-w // stride)))
+        span = -(-(w + 2 * r) // stride) * stride   # a padded row
+        strips = blocks(0, h, span, _CONVOLVE_BLOCK)
     else:
-        step, span, halo = w, w, r
-    strips = blocks(0, h, span, _CONVOLVE_BLOCK)
+        out = np.empty((-(-h // stride), w))
+        span = stride * w                           # source per output row
+        strips = blocks(0, out.shape[0], span, _CONVOLVE_BLOCK)
     rows = strips[0].stop if strips else 1
-    src = np.empty((rows + 2 * halo, span))
-    acc = np.empty(rows * span) if ax else None
+    size = rows * span // stride                    # a strip's run
+    if ax:
+        src = np.empty((rows, span))
+        acc = np.empty(size)
+    else:
+        src = np.empty(((rows - 1) * stride + 2 * r + 1, w))
     # products of several taps at once when a strip is small
-    block = max(1, min(_CONVOLVE_BLOCK // (rows * span), taps))
-    buf = np.empty((block, rows * span))
+    block = max(1, min(_CONVOLVE_BLOCK // size, taps))
+    fk = fw.reshape((-1,) + (1,) * (2 - ax))       # taps against x[k]
+    buf = np.empty((block, size))
     for strip in strips:
         a, b = strip.start, strip.stop
         m = b - a
-        s = src[:m + 2 * halo]
         if ax:
+            s = src[:m]
             s[:, r:r + w] = data[a:b]
             s[:, :r] = data[a:b, :1]
             s[:, r + w:] = data[a:b, w - 1:]
-            n = m * span - 2 * r
-            o = acc[:n]
+            o = acc[:-(-(m * span - 2 * r) // stride)]
+            x = np.ndarray((2 * r + 1,) + o.shape, np.float64, s, 0,
+                           (8, stride * 8))
         else:
             # mode="clip" clamps the rows past either edge to it
-            np.take(data, np.arange(a - r, b + r), axis=0, out=s, mode="clip")
-            n = m * w
-            o = out[a:b].reshape(n)
-        x = np.ndarray((2 * r + 1, n), np.float64, s, 0, (step * 8, 8))
+            s = src[:(m - 1) * stride + 2 * r + 1]
+            np.take(data, np.arange(a * stride - r, (b - 1) * stride + r + 1),
+                    axis=0, out=s, mode="clip")
+            o = out[a:b]
+            x = np.ndarray((2 * r + 1, m, w), np.float64, s, 0,
+                           (w * 8, stride * w * 8, 8))
         np.multiply(x[taps], fw[taps], out=o)
         for k0 in range(0, taps, block):
             k1 = min(k0 + block, taps)
-            t = buf[:k1 - k0, :n]
+            t = buf[:k1 - k0, :o.size].reshape((k1 - k0,) + o.shape)
             if pair is None:
-                np.multiply(x[k0:k1], fw[k0:k1, None], out=t)
+                np.multiply(x[k0:k1], fk[k0:k1], out=t)
             else:
                 pair(x[k0:k1], x[2 * r - k0:2 * r - k1:-1], out=t)
-                t *= fw[k0:k1, None]
+                t *= fk[k0:k1]
             for term in t:
                 o += term
         if ax:
-            out[a:b] = acc[:m * span].reshape(m, span)[:, :w]
+            out[a:b] = acc[:m * span // stride].reshape(m, -1)[:, :out.shape[1]]
     return out
-
-
-def smooth(img, sigma, radius=None):
-    """Separable Gaussian smoothing of an image."""
-    if radius is None:
-        radius = max(1, int(np.ceil(3.0 * sigma)))
-    k = gaussian_kernel(sigma, radius)
-    return convolve(convolve(img, k, "horizontal"), k, "vertical")
 
 
 def spatial_gradient(img):

@@ -34,6 +34,10 @@ class RoadSegment:
     turn: int = 0          # +1 left, -1 right (arc only)
 
 
+# Road.project judges whether an arc's bound pays on every this-many-th point
+_PROJECT_PROBE = 16
+
+
 class Road:
     """Piecewise straight/arc centerline with signed lateral projection.
 
@@ -100,8 +104,11 @@ class Road:
         may win: no point of the arc is nearer to p than
         |hypot(p - centre) - R|, so where that bound exceeds the best
         distance so far by more than 1e-6 m (far beyond rounding) the arc
-        cannot be strictly closer, and its formula is skipped there, unless
-        the bound keeps more than half of the points.
+        cannot be strictly closer, and its formula is skipped there. The
+        bound pays only where it drops most points, so it is first formed
+        on every _PROJECT_PROBE-th point, and on all of them only if it
+        keeps at most half of those; otherwise the arc runs on every point.
+        Either way each point gets the same bits.
         """
         px, py = np.broadcast_arrays(np.asarray(px, dtype=np.float64),
                                      np.asarray(py, dtype=np.float64))
@@ -120,14 +127,18 @@ class Road:
                 ccx = x0 - seg.radius * sh * seg.turn
                 ccy = y0 + seg.radius * ch * seg.turn
                 qx, qy = px, py
+                # gathering pays where the straight wins most points
+                # (obstacles' view of the road), but costs more than the
+                # formula it skips where the arc wins most (clear, rain)
                 if k:
-                    bound = np.abs(np.hypot(px - ccx, py - ccy) - seg.radius)
-                    near = bound <= best_dist + 1e-6
-                    # gathering pays where the straight wins most points
-                    # (obstacles' view of the road), but costs more than the
-                    # formula it skips where the arc wins most (clear, rain)
-                    if 2 * np.count_nonzero(near) <= near.size:
-                        at = np.flatnonzero(near)
+                    def near(pick):
+                        bound = np.abs(np.hypot(px[pick] - ccx, py[pick] - ccy)
+                                       - seg.radius)
+                        return bound <= best_dist[pick] + 1e-6
+
+                    probe = near(slice(None, None, _PROJECT_PROBE))
+                    if 2 * np.count_nonzero(probe) <= probe.size:
+                        at = np.flatnonzero(near(slice(None)))
                         qx, qy = px[at], py[at]
                 a0 = math.atan2(y0 - ccy, x0 - ccx)
                 ang = np.arctan2(qy - ccy, qx - ccx)
@@ -226,7 +237,40 @@ def _hash01(ix, iy, seed):
     return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
 
+def _corner_values(iu, iv, seed):
+    """The hashed values of the lattice nodes (iu, iv), (iu + 1, iv),
+    (iu, iv + 1) and (iu + 1, iv + 1), yielded in turn.
+
+    When the bounding box of the nodes holds no more nodes than there are
+    samples, each node is hashed once into a table of the box and the four
+    corners are gathered from it; otherwise (a few samples spread far
+    apart) each corner is hashed per sample. The hash is exact integer
+    arithmetic on the node alone, so both give the same bits."""
+    if iu.size:
+        u0, v0 = int(iu.min()), int(iv.min())
+        nu, nv = int(iu.max()) - u0 + 2, int(iv.max()) - v0 + 2
+        if nu * nv <= iu.size:
+            table = _hash01(np.arange(u0, u0 + nu)[None, :],
+                            np.arange(v0, v0 + nv)[:, None], seed).ravel()
+            at = iv - v0
+            at *= nu
+            at += iu
+            at -= u0
+            for step in (0, 1, nu - 1, 1):
+                at += step
+                yield table.take(at)
+            return
+    for du, dv in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        yield _hash01(iu + du, iv + dv, seed)
+
+
 def _lattice_noise(u, v, seed):
+    """Value noise at (u, v): the hashed values of the four lattice nodes
+    around each sample, blended by smoothstep weights of its fractional
+    position. Each node's value is looked up, once per call, from a table
+    of the nodes the call spans whenever that table is no larger than the
+    samples (see _corner_values): the same bits as hashing each corner of
+    each sample, at a fraction of the work where samples share nodes."""
     iu = np.floor(u)
     iv = np.floor(v)
     fu = u - iu
@@ -235,13 +279,16 @@ def _lattice_noise(u, v, seed):
     fv = fv * fv * (3.0 - 2.0 * fv)
     iu = iu.astype(np.int64)
     iv = iv.astype(np.int64)
-    n00 = _hash01(iu, iv, seed)
-    n10 = _hash01(iu + 1, iv, seed)
-    n01 = _hash01(iu, iv + 1, seed)
-    n11 = _hash01(iu + 1, iv + 1, seed)
-    top = n00 * (1 - fu) + n10 * fu
-    bot = n01 * (1 - fu) + n11 * fu
-    return top * (1 - fv) + bot * fv
+    corners = _corner_values(iu, iv, seed)
+    # each corner is blended in as it is gathered, so one is held at a time
+    top = next(corners) * (1 - fu)
+    top += next(corners) * fu
+    bot = next(corners) * (1 - fu)
+    bot += next(corners) * fu
+    top *= 1 - fv
+    bot *= fv
+    top += bot
+    return top
 
 
 def value_noise(u, v, seed, octaves=3, foot=None):

@@ -133,15 +133,25 @@ class TestDetectCorners:
 
 def detect_corners_ref(img, max_corners=400, quality_level=0.005,
                        min_distance=7, row_range=None):
+    """img is an image, or a gradient (gx, gy) to take the response of."""
+    if isinstance(img, tuple):
+        grad = img
+        img = grad[0]
+
+        def band_response(a, b):
+            return features.corner_response(grad[0][a:b], grad[1][a:b])
+    else:
+        def band_response(a, b):
+            return response(img[a:b])
     m = features.BORDER_MARGIN
     if row_range is not None:
         lo, hi = max(row_range[0], 0), min(row_range[1], img.shape[0])
         y_off = max(lo - 5, 0)
-        sub = response(img[y_off:hi + 5])    # the band's own gradient
+        sub = band_response(y_off, hi + 5)    # the band's own gradient
         resp = np.zeros(img.shape)
         resp[y_off:y_off + sub.shape[0]] = sub
     else:
-        resp = response(img)
+        resp = band_response(0, img.shape[0])
     mask = np.zeros_like(resp, dtype=bool)
     mask[m:-m, m:-m] = True
     if row_range is not None:
@@ -255,4 +265,104 @@ def test_detect_corners_strip_edges(row_range, rows, monkeypatch):
     kwargs = {"max_corners": 400, "row_range": row_range}
     got = detect(img, **kwargs)
     assert len(got) > 10
+    assert np.array_equal(got, detect_corners_ref(img, **kwargs))
+
+
+# ---------------------------------------------------------------------------
+# rows without gradient: the response is formed only where a window reaches
+# a non-zero gradient
+# ---------------------------------------------------------------------------
+
+
+def _gradient_rows(img):
+    gx, gy = imgproc.spatial_gradient(img)
+    return np.flatnonzero((gx != 0).any(axis=1) | (gy != 0).any(axis=1))
+
+
+def _band(first, last, h=120, w=130):
+    """A zero image textured on rows first+1 .. last-1, so that its
+    (central-difference) gradient is non-zero on rows first .. last only."""
+    img = np.zeros((h, w))
+    img[first + 1:last] = 0.2 + _textured(last - first - 1, w)
+    rows = _gradient_rows(img)
+    assert rows[0] == first and rows[-1] == last
+    return img
+
+
+M = features.BORDER_MARGIN
+
+
+@pytest.mark.parametrize("first,last,row_range", [
+    (0, 60, None),                  # gradient from the top row
+    (M - 1, 60, None),              # ... from just above the border margin
+    (M, 60, None),
+    (M + 1, 60, None),
+    (50, 70, None),                 # a band mid-frame
+    (50, 70, (0, 190)),
+    (88, 119, (0, 90)),             # first row in the last 4-row cell of
+    (89, 119, (0, 90)),             # the range, [88, 92)
+    (90, 119, (0, 90)),             # at the range's end: windows reach it
+    (91, 119, (0, 90)),             # past it they reach only row 91, whose
+    (92, 119, (0, 90)),             # gradient is all gy, or none: no corners
+    (20, 95, (30, 100)),            # the range cuts into the band
+])
+def test_rows_without_gradient_match_reference(first, last, row_range):
+    img = _band(first, last)
+    kwargs = {"max_corners": 400, "row_range": row_range}
+    got = detect(img, **kwargs)
+    assert np.array_equal(got, detect_corners_ref(img, **kwargs))
+    assert (len(got) == 0) == (first >= 91)
+
+
+@pytest.mark.parametrize("first,last", [(0, 60), (M - 1, 60), (M, 60),
+                                        (M + 1, 60), (10, 117), (11, 116),
+                                        (45, 46), (61, 61), (28, 28),
+                                        (65, 65), (66, 66)])
+@pytest.mark.parametrize("row_range", [None, (8, 64), (30, 100)])
+def test_gradient_rows_edges_match_reference(first, last, row_range):
+    # full-rank gradient on rows first .. last alone: the rows WINDOW_RADIUS
+    # beyond either end still hold a (small) response, and with one-pixel
+    # cells, no suppression beyond 2 px and a low quality level, each of
+    # those two rows holds corners
+    rng = np.random.default_rng(first * 1000 + last)
+    grad = tuple(np.zeros((120, 130)) for _ in range(2))
+    for g in grad:
+        g[first:last + 1] = rng.standard_normal((last + 1 - first, 130))
+    kwargs = {"max_corners": 20000, "min_distance": 2,
+              "quality_level": 1e-6, "row_range": row_range}
+    got = features.detect_corners(grad, **kwargs)
+    assert np.array_equal(got, detect_corners_ref(grad, **kwargs))
+    r = features.WINDOW_RADIUS
+    lo, hi = (0, 120) if row_range is None else row_range
+    lo, hi = max(lo, M), min(hi, 120 - M)
+    top, bottom = max(first - r, lo), min(last + r, hi - 1)
+    if top > bottom:
+        assert len(got) == 0
+    else:
+        assert got[:, 1].min() == top and got[:, 1].max() == bottom
+
+
+def test_signed_zero_gradient_has_no_corners():
+    rng = np.random.default_rng(6)
+    gx, gy = (np.where(rng.random((60, 80)) < 0.5, -0.0, 0.0)
+              for _ in range(2))
+    assert np.signbit(gx).any() and np.signbit(gy).any()
+    assert features.corner_response(gx, gy).max() == 0.0
+    assert features.detect_corners((gx, gy)).shape == (0, 2)
+    assert features.detect_corners((gx, gy), row_range=(10, 50)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("row_range", [None, (0, 190)])
+def test_box_above_the_horizon_matches_reference(row_range):
+    # 10 m short of the first obstacle its box rises above the horizon, so
+    # the gradient starts well above the ground's first row
+    world = scene.make_course("obstacles")
+    cam = scene.CameraModel()
+    x, y, h = world.road.pose_at(60.0)
+    img = scene.render(world, cam, VehicleState(x=x, y=y, psi=h))
+    assert _gradient_rows(img)[0] < cam.horizon_row - 5
+    kwargs = {"max_corners": 150, "quality_level": 0.002,
+              "row_range": row_range}
+    got = detect(img, **kwargs)
+    assert len(got) > 10 and got[:, 1].min() < cam.horizon_row
     assert np.array_equal(got, detect_corners_ref(img, **kwargs))

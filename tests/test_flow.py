@@ -42,10 +42,13 @@ def track_images(prev, next_, points, levels=3, **kw):
 
 
 def pyramid_ref(img, levels):
-    """The float64 levels: each is the previous one smoothed and halved."""
+    """The float64 levels: each is the previous one smoothed over the whole
+    frame, both passes, and then halved."""
+    k = imgproc.gaussian_kernel(flow.PYRAMID_SIGMA, 2)
     pyr = [img]
     for _ in range(1, levels):
-        sm = imgproc.smooth(pyr[-1], flow.PYRAMID_SIGMA, radius=2)
+        sm = imgproc.convolve(imgproc.convolve(pyr[-1], k, "horizontal"), k,
+                              "vertical")
         pyr.append(sm[: sm.shape[0] // 2 * 2 : 2, : sm.shape[1] // 2 * 2 : 2])
     return pyr
 
@@ -72,10 +75,11 @@ class TestPyramid:
             assert np.allclose(img, 0.7)
             assert not gx.any() and not gy.any()
 
-    @pytest.mark.parametrize("shape", [(128, 160), (101, 75)])
+    @pytest.mark.parametrize("shape", [(128, 160), (101, 75), (65, 67)])
     def test_levels_hold_float32_roundings(self, shape):
         # every level and its gradient as float32 roundings of the float64
-        # chain, level 0's gradient as handed in
+        # chain, level 0's gradient as handed in; (65, 67) has odd sides at
+        # both halvings and a coarsest level of exactly 16 x 16
         img = textured(*shape, seed=14)
         pyr = pyramid(img, 3)
         for got, ref in zip(pyr, pyramid_ref(img, 3)):
@@ -83,6 +87,24 @@ class TestPyramid:
             for a, b in zip(got, want):
                 assert a.dtype == np.float32
                 assert np.array_equal(a, b.astype(np.float32))
+        if shape == (65, 67):
+            assert pyr[-1][0].shape == (16, 16)
+
+    def test_levels_hold_nan_and_inf_as_the_full_smooth_does(self):
+        # a NaN and an inf spread through the smoothing windows they fall in
+        # (inf - inf in a gradient is NaN), the same in the kept samples
+        img = textured(96, 120, seed=3)
+        img[40, 50] = np.nan
+        img[71, 20] = np.inf
+        with np.errstate(invalid="ignore"):
+            pyr = pyramid(img, 3)
+            levels = [(ref, *imgproc.spatial_gradient(ref))
+                      for ref in pyramid_ref(img, 3)]
+        for got, want in zip(pyr, levels):
+            for a, b in zip(got, want):
+                b = b.astype(np.float32)
+                assert not np.isfinite(b).all()
+                assert np.array_equal(a.view(np.int32), b.view(np.int32))
 
 
 def grid(xs, ys):

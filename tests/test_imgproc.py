@@ -180,6 +180,39 @@ class TestConvolveScipyParity:
                     assert np.array_equal(bits(out), bits(ref)), (shape, axis)
 
 
+class TestConvolveStride:
+    """convolve(..., stride=s) is the full result's every s-th sample along
+    its axis, bit for bit, however the strips fall."""
+
+    @pytest.mark.parametrize("name", PARITY_KERNELS)
+    @pytest.mark.parametrize("block", [None, 150])
+    def test_every_sth_sample_of_the_full_result(self, name, block,
+                                                 monkeypatch):
+        k = PARITY_KERNELS[name]
+        rng = np.random.default_rng(33)
+        for shape in PARITY_SHAPES + [(65, 67), (2, 9)]:
+            data = rng.standard_normal(shape)
+            data[rng.random(shape) < 0.1] = -0.0
+            data[rng.random(shape) < 0.02] = np.inf
+            for ax, axis in enumerate(("vertical", "horizontal")):
+                with np.errstate(invalid="ignore"):
+                    full = imgproc.convolve(data, k, axis)
+                    with monkeypatch.context() as mp:
+                        if block is not None:
+                            mp.setattr(imgproc, "_CONVOLVE_BLOCK", block)
+                        for stride in (1, 2, 3):
+                            out = imgproc.convolve(data, k, axis, stride)
+                            want = full[::stride] if ax == 0 else full[:, ::stride]
+                            assert out.flags.c_contiguous
+                            assert out.shape == want.shape
+                            assert np.array_equal(bits(out), bits(want)), (
+                                shape, axis, stride)
+
+    def test_stride_below_one_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            imgproc.convolve(np.zeros((4, 4)), [1.0], "vertical", 0)
+
+
 class TestConvolveDtypes:
     @pytest.mark.parametrize("dtype", [np.uint8, bool])
     def test_integer_and_bool_images_convolve_as_float64(self, dtype):

@@ -1,8 +1,9 @@
 """Per-call memory of each per-frame stage, and the frame loop's heap.
 
-render, degrade, detect_corners and flow.track work in fixed-size blocks
-(see their docstrings), so one call's peak of traced allocations, its output
-included, stays a few frames' worth. Each bound is a number of frames (one
+render, degrade, detect_corners and flow.track work in fixed-size blocks,
+and build_pyramid smooths only the pixels each halving keeps (see their
+docstrings), so one call's peak of traced allocations, its output included,
+stays a few frames' worth. Each bound is a number of frames (one
 240 x 320 float64 frame is 0.61 MB) near the geometric mean of the peaks of
 the earlier full-frame code and of the blocked code, given beside it as
 measured with numpy 2.4: about 25-45 % above the blocked peak and 20-30 %
@@ -73,6 +74,15 @@ def test_detect_corners():
     grad = imgproc.spatial_gradient(rain_frame(110.0))
     assert len(pipeline.detect_features(grad)) == pipeline.MAX_CORNERS
     assert peak_frames(pipeline.detect_features, grad) < 4.4
+
+
+def test_build_pyramid():
+    # smoothing each whole level, then halving it: 4.6 frames; smoothing
+    # only the kept pixels: 3.3, of which 2.0 are the float32 levels
+    img = rain_frame(110.0)
+    grad = imgproc.spatial_gradient(img)
+    assert peak_frames(flow.build_pyramid, img, grad,
+                       pipeline.PYR_LEVELS) < 3.9
 
 
 def test_track_150_corners():

@@ -303,6 +303,76 @@ def _ref_project(road, px, py):
     return best_s, best_d
 
 
+def _ref_hash01(ix, iy, seed):
+    """A lattice node's value in [0, 1): its integer coordinates and the
+    seed mixed with 64-bit multiplies and xor-shifts, top 53 bits kept."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    h = (ix.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+         ^ iy.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+         ^ np.uint64((seed * 0x165667B19E3779F9) & mask))
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
+def _ref_lattice_noise(u, v, seed):
+    """Each corner of each sample hashed on its own, then blended by the
+    smoothstep weights of the sample's fractional position."""
+    iu, iv = np.floor(u), np.floor(v)
+    fu, fv = u - iu, v - iv
+    fu = fu * fu * (3.0 - 2.0 * fu)
+    fv = fv * fv * (3.0 - 2.0 * fv)
+    iu, iv = iu.astype(np.int64), iv.astype(np.int64)
+    top = (_ref_hash01(iu, iv, seed) * (1 - fu)
+           + _ref_hash01(iu + 1, iv, seed) * fu)
+    bot = (_ref_hash01(iu, iv + 1, seed) * (1 - fu)
+           + _ref_hash01(iu + 1, iv + 1, seed) * fu)
+    return top * (1 - fv) + bot * fv
+
+
+def _lattice_nodes(u, v):
+    """Nodes in the bounding box of the lattice cells (u, v) fall in."""
+    iu, iv = np.floor(u), np.floor(v)
+    return ((int(iu.max()) - int(iu.min()) + 2)
+            * (int(iv.max()) - int(iv.min()) + 2))
+
+
+def _lattice_case(case):
+    """(u, v, seed) for each kind of call _lattice_noise gets."""
+    rng = np.random.default_rng(11)
+    if case == "negative nodes":        # dense, on both sides of zero
+        return rng.uniform(-30.0, 4.0, 5000), rng.uniform(-9.0, -2.0, 5000), 3
+    if case == "single sample":
+        return np.array([-3.25]), np.array([7.9]), 7
+    if case == "dense":                 # fewer box nodes than samples
+        return rng.uniform(40.0, 70.0, 3000), rng.uniform(-6.0, 6.0, 3000), 7
+    if case == "sparse":                # more box nodes than samples
+        return rng.uniform(-500.0, 500.0, 300), rng.uniform(0.0, 90.0, 300), 38
+    # octave 2 (4x the base frequency) of the road texture 212-218 m along
+    # the course, across the whole road
+    s = rng.uniform(212.0, 218.0, 8000)
+    d = rng.uniform(-7.0, 7.0, 8000)
+    return s * 1.7 * 4.0, d * 1.7 * 4.0, 7 + 202
+
+
+@pytest.mark.parametrize("case", ["negative nodes", "single sample", "dense",
+                                  "sparse", "octave 2 far along"])
+def test_lattice_noise_matches_per_sample_hashing(case):
+    u, v, seed = _lattice_case(case)
+    # the calls fall on either side of a table of the box's nodes
+    dense = _lattice_nodes(u, v) <= u.size
+    assert dense == (case in ("negative nodes", "dense", "octave 2 far along"))
+    if case == "negative nodes":
+        assert np.floor(u).min() < 0 and np.floor(v).max() < 0
+    got = scene._lattice_noise(u, v, seed)
+    assert _bit_equal(got, _ref_lattice_noise(u, v, seed))
+    # and as a 2-D block, as box shading's references pass it
+    if u.size % 100 == 0:
+        got = scene._lattice_noise(u.reshape(100, -1), v.reshape(100, -1), seed)
+        assert _bit_equal(got, _ref_lattice_noise(u, v, seed).reshape(100, -1))
+
+
 def _ref_value_noise(u, v, seed, octaves=3, foot=None):
     """Every octave over every sample, faded ones included."""
     total = np.zeros(np.shape(u))
@@ -314,9 +384,9 @@ def _ref_value_noise(u, v, seed, octaves=3, foot=None):
         if foot is not None:
             cyc = freq * np.asarray(foot)
             amp_eff = amp * np.clip((0.5 - cyc) / 0.25, 0.0, 1.0)
-        total = total + amp_eff * (scene._lattice_noise(np.asarray(u) * freq,
-                                                        np.asarray(v) * freq,
-                                                        seed + 101 * o) - 0.5)
+        total = total + amp_eff * (_ref_lattice_noise(np.asarray(u) * freq,
+                                                      np.asarray(v) * freq,
+                                                      seed + 101 * o) - 0.5)
         norm += amp
         amp *= 0.5
         freq *= 2.0
